@@ -37,7 +37,7 @@ from .model import (
     UnreachableLeafError,
     UnsupportedLiteralError,
     classify,
-    enumerate_paths,
+    instance_literals,
     literals_consistent,
     make_instance,
     parse_instance_json,
@@ -52,10 +52,6 @@ from .explain import (
     PATH_UNRESTRICTED,
     Explanation,
     RedundancyResult,
-    UniversalSet,
-    VisitCounter,
-    chk_down,
-    droppable_features,
     entails,
     is_path_redundant,
     one_pi_explanation_instance,

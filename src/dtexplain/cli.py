@@ -29,11 +29,11 @@ from .model import (
     InconsistentLiteralsError,
     Instance,
     InstanceError,
-    Literal,
     PathMismatchError,
     TreeFormatError,
     TreePath,
     classify,
+    instance_literals,
     parse_instance_json,
     parse_tree_file,
     read_instances_csv,
@@ -151,13 +151,6 @@ def _emit(payload, fmt: str, render_text) -> None:
         sys.stdout.write(render_text())
 
 
-def _instance_literals(tree: DecisionTree, point: Instance) -> tuple[Literal, ...]:
-    return tuple(
-        Literal(feat.index, frozenset({value}))
-        for feat, value in zip(tree.space.features, point)
-    )
-
-
 def _load_instances(tree: DecisionTree, args) -> list[Instance]:
     if args.instance is not None and args.instances is not None:
         raise UsageError("use either --instance or --instances, not both")
@@ -173,15 +166,6 @@ def _load_instances(tree: DecisionTree, args) -> list[Instance]:
 
 def _oracle(tree: DecisionTree) -> BruteForceOracle:
     return BruteForceOracle(tree, OracleBudget())
-
-
-def _value_map(tree: DecisionTree, literals) -> dict:
-    out: dict[str, str | list[str]] = {}
-    for lit in sorted(literals, key=Literal.sort_key):
-        feat = tree.space.feature(lit.feature)
-        names = [feat.domain[v] for v in sorted(lit.allowed)]
-        out[feat.name] = names[0] if len(names) == 1 else names
-    return out
 
 
 def _verify_explanation(
@@ -210,7 +194,7 @@ def _cmd_classify(args) -> int:
             {
                 "class": tree.classes[class_id],
                 "path": path.path_id,
-                "literals": _value_map(tree, path.literals),
+                "literals": Explanation(path.literal_set(), class_id).as_value_map(tree),
             }
         )
     payload = results[0] if args.instance is not None else results
@@ -329,7 +313,7 @@ def _cmd_enumerate(args) -> int:
                 universe = source.literals
                 target = source.prediction
             else:
-                universe = _instance_literals(tree, source)
+                universe = instance_literals(tree.space, source)
                 target, _ = classify(tree, source)
             truth = {e.literals for e in oracle.enumerate_pi(universe, target)}
             mine = {e.literals for e in explanations}

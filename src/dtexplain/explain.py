@@ -5,24 +5,29 @@ A path is explanation-redundant when some tested feature can be declared
 becoming reachable; the remaining literals then still entail the
 prediction, so the path's literal set strictly contains a PI-explanation.
 
+Every question here is answered by one lookup, :func:`_contrary_leaf`: an
+explicit-stack depth-first search for a leaf of another class that some
+point satisfying the current per-feature allowed sets can reach.  It
+narrows a feature's allowed set when it descends an edge and undoes the
+narrowing on backtrack; a feature without an entry is universal.  Being
+iterative, it is not limited by the interpreter's recursion depth.
+
 The per-path redundancy decision works node-locally: path nodes are
 analyzed in reverse (deepest first), and for each one only the subtrees
 hanging off the node's untaken edges are searched.  Those subtrees are
 pairwise disjoint across all path nodes, so the whole decision examines
-each tree node at most once (amortized linear in the tree size); the
-shared ``visited`` set enforces that and doubles as the instrumentation
-for the node-visit bound.
+each tree node at most once, which is the node-visit bound.
 
-Extraction of one PI-explanation greedily re-runs the lookup with every
-previously dropped feature kept universal.  Dropped features can reopen
-contrary subtrees that an earlier step found blocked, so these lookups
-re-examine nodes (``rec=1``) instead of filtering through ``visited``.
+Extraction of one PI-explanation is greedy: each candidate feature in turn
+is dropped when, with every previously dropped feature still universal, a
+lookup from the root finds no contrary leaf.  Every drop is therefore an
+entailment test of the literals kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .model import (
     DecisionTree,
@@ -31,17 +36,14 @@ from .model import (
     Literal,
     TreePath,
     classify,
+    instance_literals,
 )
 
 __all__ = [
     "Explanation",
-    "UniversalSet",
-    "VisitCounter",
     "RedundancyResult",
-    "chk_down",
     "entails",
     "is_path_redundant",
-    "droppable_features",
     "one_pi_explanation_path",
     "one_pi_explanation_instance",
     "PATH_RESTRICTED",
@@ -65,7 +67,6 @@ class Explanation:
     target: int
     mode: str | None = None
     source: str | tuple | None = None
-    minimal: bool = True
 
     def features(self) -> frozenset[int]:
         return frozenset(lit.feature for lit in self.literals)
@@ -87,61 +88,6 @@ class Explanation:
         return out
 
 
-class UniversalSet:
-    """Per-feature working state: a fixed allowed set, or universal.
-
-    Universal features may take any value of their domain.  Instances are
-    immutable; ``constrain``/``make_universal`` return updated copies, so a
-    lookup can refine the state along one branch without affecting others.
-    """
-
-    __slots__ = ("space", "_allowed")
-
-    def __init__(self, space, allowed: Mapping[int, frozenset[int]] | None = None):
-        self.space = space
-        self._allowed: dict[int, frozenset[int]] = dict(allowed or {})
-
-    @classmethod
-    def from_literals(cls, space, literals: Iterable[Literal]) -> "UniversalSet":
-        allowed: dict[int, frozenset[int]] = {}
-        for lit in literals:
-            if lit.feature in allowed:
-                raise ValueError(
-                    f"more than one literal for feature index {lit.feature}"
-                )
-            allowed[lit.feature] = lit.allowed
-        return cls(space, allowed)
-
-    def is_universal(self, feature: int) -> bool:
-        return feature not in self._allowed
-
-    def allowed(self, feature: int) -> frozenset[int]:
-        got = self._allowed.get(feature)
-        if got is None:
-            return self.space.feature(feature).all_values()
-        return got
-
-    def constrain(self, feature: int, values: frozenset[int]) -> "UniversalSet":
-        out = UniversalSet(self.space, self._allowed)
-        out._allowed[feature] = values
-        return out
-
-    def make_universal(self, feature: int) -> "UniversalSet":
-        out = UniversalSet(self.space, self._allowed)
-        out._allowed.pop(feature, None)
-        return out
-
-    def constrained_features(self) -> frozenset[int]:
-        return frozenset(self._allowed)
-
-
-@dataclass
-class VisitCounter:
-    """Counts node examinations for the complexity witness."""
-
-    nodes: int = 0
-
-
 @dataclass(frozen=True)
 class RedundancyResult:
     redundant: bool
@@ -149,59 +95,62 @@ class RedundancyResult:
     node_visits: int
 
 
-def chk_down(
+def _contrary_leaf(
     tree: DecisionTree,
     node_id: str,
     target: int,
-    universals: UniversalSet,
-    rec: int = 0,
-    visited: set[str] | None = None,
-    counter: VisitCounter | None = None,
-) -> bool:
-    """Inconsistent sub-path lookup.
+    allowed: dict[int, frozenset[int]],
+) -> tuple[bool, int]:
+    """Whether a leaf below ``node_id`` (inclusive) predicts a class other
+    than ``target`` and is reachable by a point whose features take values
+    in ``allowed`` (a feature without an entry is free).
 
-    True iff some leaf below ``node_id`` predicts a class other than
-    ``target`` and is reachable by a point satisfying ``universals``.  The
-    search descends only edges whose value set meets the feature's current
-    allowed set, narrowing it along the branch so repeated tests of one
-    feature stay mutually consistent.
-
-    With ``rec=0`` nodes already in ``visited`` are skipped and newly
-    examined ones added, so a sequence of lookups examines each tree node
-    at most once; with ``rec=1`` every sub-path is re-examined.
+    Edges are searched in declaration order and the search stops at the
+    first contrary leaf.  Also returns the number of nodes entered, leaves
+    included.  ``allowed`` itself is left unchanged.
     """
-    if counter is not None:
-        counter.nodes += 1
-    if not rec:
-        if visited is None:
-            visited = set()
-        if node_id in visited:
-            return False
-        visited.add(node_id)
-    node = tree.nodes[node_id]
-    if isinstance(node, Leaf):
-        return node.class_id != target
-    allowed = universals.allowed(node.feature)
-    for edge in node.edges:
-        step = edge.values & allowed
-        if step and chk_down(
-            tree,
-            edge.child,
-            target,
-            universals.constrain(node.feature, step),
-            rec,
-            visited,
-            counter,
-        ):
-            return True
-    return False
+    allowed = dict(allowed)
+    nodes = tree.nodes
+    examined = 0
+    # (child, feature, values): enter child with allowed[feature] = values;
+    # child None restores allowed[feature] to values (None: free again)
+    stack: list[tuple[str | None, int | None, frozenset[int] | None]] = [
+        (node_id, None, None)
+    ]
+    while stack:
+        child, feature, values = stack.pop()
+        if child is None:
+            if values is None:
+                del allowed[feature]
+            else:
+                allowed[feature] = values
+            continue
+        examined += 1
+        node = nodes[child]
+        if isinstance(node, Leaf):
+            if node.class_id != target:
+                return True, examined
+            continue
+        if feature is not None:
+            stack.append((None, feature, allowed.get(feature)))
+            allowed[feature] = values
+        entry = allowed.get(node.feature)
+        for edge in reversed(node.edges):
+            step = edge.values if entry is None else edge.values & entry
+            if step:
+                stack.append((edge.child, node.feature, step))
+    return False, examined
 
 
 def entails(tree: DecisionTree, literals: Iterable[Literal], class_id: int) -> bool:
     """True iff every point consistent with the literals classifies to
     ``class_id``; a single root-down traversal pruning disjoint edges."""
-    state = UniversalSet.from_literals(tree.space, literals)
-    return not chk_down(tree, tree.root, class_id, state, rec=1)
+    allowed: dict[int, frozenset[int]] = {}
+    for lit in literals:
+        if lit.feature in allowed:
+            raise ValueError(f"more than one literal for feature index {lit.feature}")
+        allowed[lit.feature] = lit.allowed
+    return not _contrary_leaf(tree, tree.root, class_id, allowed)[0]
 
 
 def _above_intersections(path: TreePath) -> list[frozenset[int] | None]:
@@ -218,138 +167,78 @@ def _above_intersections(path: TreePath) -> list[frozenset[int] | None]:
     return out
 
 
-def _deviation_exists(
-    tree: DecisionTree,
-    path: TreePath,
-    position: int,
-    feature: int,
-    constraints: UniversalSet,
-    above: frozenset[int] | None,
-    visited: set[str] | None,
-    counter: VisitCounter | None,
-) -> bool:
-    """Check the untaken edges at one path node for a consistent contrary
-    sub-path, given that the feature under test is free below."""
-    node = tree.nodes[path.node_ids[position]]
-    taken = path.node_edge_index[position]
-    entry_allowed = (
-        tree.space.feature(feature).all_values() if above is None else above
-    )
-    for i, edge in enumerate(node.edges):
-        if i == taken:
-            continue
-        step = edge.values & entry_allowed
-        if step and chk_down(
-            tree,
-            edge.child,
-            path.prediction,
-            constraints.constrain(feature, step),
-            0,
-            visited,
-            counter,
-        ):
-            return True
-    return False
-
-
-def _redundancy_scan(tree: DecisionTree, path: TreePath, stop_at_first: bool):
-    """Shared body of the redundancy decision and its exhaustive variant.
-
-    Path nodes are examined deepest-first; a feature's verdict is settled
-    only once all of its nodes have been examined, and the feature counts
-    as droppable only if no node of it opens a consistent contrary
-    sub-path.
-    """
-    tree.check_owns(path)
-    counter = VisitCounter()
-    visited: set[str] = set()
-    base = path.literal_map
-    above = _above_intersections(path)
-    remaining = {f: path.node_features.count(f) for f in base}
-    failed: set[int] = set()
-    droppable: list[int] = []
-    for position in range(len(path.node_ids) - 1, -1, -1):
-        feature = path.node_features[position]
-        counter.nodes += 1
-        remaining[feature] -= 1
-        if feature not in failed:
-            constraints = UniversalSet(
-                tree.space, {g: v for g, v in base.items() if g != feature}
-            )
-            if _deviation_exists(
-                tree, path, position, feature, constraints,
-                above[position], visited, counter,
-            ):
-                failed.add(feature)
-            elif remaining[feature] == 0:
-                droppable.append(feature)
-                if stop_at_first:
-                    return droppable, counter
-    return droppable, counter
-
-
 def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
     """Decide whether a path's literal set strictly contains a
     PI-explanation; linear in the tree size.
 
-    The witness is the first droppable feature in deepest-first order.
+    Path nodes are examined deepest-first.  A feature is droppable when,
+    with the rest of the path fixed and the feature free below each of its
+    nodes, no untaken edge of any of its nodes opens a consistent contrary
+    sub-path; the witness is the first feature whose nodes have all been
+    examined that way.
     """
-    droppable, counter = _redundancy_scan(tree, path, stop_at_first=True)
-    if droppable:
-        return RedundancyResult(True, droppable[0], counter.nodes)
-    return RedundancyResult(False, None, counter.nodes)
+    tree.check_owns(path)
+    visits = 0
+    base = path.literal_map
+    allowed = dict(base)
+    above = _above_intersections(path)
+    remaining = {f: path.node_features.count(f) for f in base}
+    failed: set[int] = set()
+    for position in range(len(path.node_ids) - 1, -1, -1):
+        feature = path.node_features[position]
+        visits += 1
+        remaining[feature] -= 1
+        if feature in failed:
+            continue
+        node = tree.nodes[path.node_ids[position]]
+        taken = path.node_edge_index[position]
+        entry = above[position]
+        for i, edge in enumerate(node.edges):
+            step = edge.values if entry is None else edge.values & entry
+            if i == taken or not step:
+                continue
+            allowed[feature] = step
+            found, examined = _contrary_leaf(tree, edge.child, path.prediction, allowed)
+            visits += examined
+            if found:
+                failed.add(feature)
+                break
+        allowed[feature] = base[feature]
+        if feature not in failed and remaining[feature] == 0:
+            return RedundancyResult(True, feature, visits)
+    return RedundancyResult(False, None, visits)
 
 
-def droppable_features(tree: DecisionTree, path: TreePath) -> tuple[int, ...]:
-    """All features that are individually droppable (each tested with the
-    rest of the path fixed), in deepest-first verdict order."""
-    droppable, _ = _redundancy_scan(tree, path, stop_at_first=False)
-    return tuple(droppable)
+def _greedy(
+    tree: DecisionTree,
+    kept: dict[int, frozenset[int]],
+    order: Iterable[int],
+    target: int,
+) -> frozenset[Literal]:
+    """Drop each feature of ``order`` in turn from ``kept`` when the rest
+    still leaves every contrary leaf unreachable; the literals that stay
+    form a PI-explanation."""
+    for feature in order:
+        values = kept.pop(feature)
+        if _contrary_leaf(tree, tree.root, target, kept)[0]:
+            kept[feature] = values
+    return frozenset(Literal(f, v) for f, v in kept.items())
 
 
 def one_pi_explanation_path(tree: DecisionTree, path: TreePath) -> Explanation:
     """Extract one PI-explanation from the path's own literals.
 
-    Features are tried deepest-first; each is kept universal iff, with all
-    previously granted universals still free, no contrary leaf becomes
-    reachable.  The result is the path's literal set minus the universal
-    features, and it is subset-minimal.
+    Features are tried deepest-first (by their deepest test); the result is
+    the path's literal set minus the dropped features, and it is
+    subset-minimal.
     """
     tree.check_owns(path)
-    kept = dict(path.literal_map)
-    first_pos = {}
-    for i, feature in enumerate(path.node_features):
-        first_pos.setdefault(feature, i)
-    entry_floor = len(path.node_ids)  # shallowest granted-universal node
-    decided: set[int] = set()
-    for position in range(len(path.node_ids) - 1, -1, -1):
-        feature = path.node_features[position]
-        if feature in decided:
-            continue
-        decided.add(feature)
-        candidate = UniversalSet(
-            tree.space, {g: v for g, v in kept.items() if g != feature}
-        )
-        entry = min(first_pos[feature], entry_floor)
-        if not chk_down(
-            tree, path.node_ids[entry], path.prediction, candidate, rec=1
-        ):
-            del kept[feature]
-            entry_floor = min(entry_floor, first_pos[feature])
-            # the lookup started below the root; re-derive entailment of the
-            # kept literals from the top to guard the entry-point shortcut
-            assert entails(
-                tree,
-                [Literal(f, v) for f, v in kept.items()],
-                path.prediction,
-            ), "granted universal broke entailment"
-    order = [f for f in (lit.feature for lit in path.literals) if f in kept]
+    order = dict.fromkeys(reversed(path.node_features))
     return Explanation(
-        literals=frozenset(Literal(f, kept[f]) for f in order),
+        literals=_greedy(tree, path.literal_map, order, path.prediction),
         target=path.prediction,
         mode=PATH_RESTRICTED,
         source=path.path_id,
-        minimal=True,
     )
 
 
@@ -361,20 +250,10 @@ def one_pi_explanation_instance(tree: DecisionTree, instance: Instance) -> Expla
     PI-explanations.
     """
     target, _ = classify(tree, instance)
-    kept = {
-        feat.index: frozenset({value})
-        for feat, value in zip(tree.space.features, instance)
-    }
-    for feature in sorted(kept, reverse=True):
-        candidate = UniversalSet(
-            tree.space, {g: v for g, v in kept.items() if g != feature}
-        )
-        if not chk_down(tree, tree.root, target, candidate, rec=1):
-            del kept[feature]
+    kept = {lit.feature: lit.allowed for lit in instance_literals(tree.space, instance)}
     return Explanation(
-        literals=frozenset(Literal(f, v) for f, v in kept.items()),
+        literals=_greedy(tree, kept, sorted(kept, reverse=True), target),
         target=target,
         mode=PATH_UNRESTRICTED,
         source=tuple(instance),
-        minimal=True,
     )

@@ -18,6 +18,7 @@ from .model import (
     Literal,
     TreePath,
     classify,
+    instance_literals,
 )
 from .explain import Explanation, PATH_RESTRICTED, PATH_UNRESTRICTED
 
@@ -91,10 +92,7 @@ def build_hitting_sets(
         if isinstance(source, TreePath):
             raise HittingSetError("path-unrestricted mode needs an instance source")
         target, _ = classify(tree, source)
-        universe = tuple(
-            Literal(feat.index, frozenset({value}))
-            for feat, value in zip(tree.space.features, source)
-        )
+        universe = instance_literals(tree.space, source)
     else:
         raise HittingSetError(f"unknown mode {mode!r}")
 
@@ -183,6 +181,6 @@ def enumerate_pi_explanations(
         target, _ = classify(tree, source)
         tag = tuple(source)
     return [
-        Explanation(literals=lits, target=target, mode=mode, source=tag, minimal=True)
+        Explanation(literals=lits, target=target, mode=mode, source=tag)
         for lits in enumerate_mhs(hs, limit)
     ]

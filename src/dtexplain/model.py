@@ -34,8 +34,8 @@ __all__ = [
     "parse_tree_file",
     "serialize_tree",
     "classify",
-    "enumerate_paths",
     "literals_consistent",
+    "instance_literals",
     "path_point_count",
     "make_instance",
     "parse_instance_json",
@@ -285,6 +285,14 @@ def literals_consistent(a: Literal, b: Literal) -> bool:
     """Two literals conflict only when they pin the same feature to
     disjoint value sets."""
     return a.feature != b.feature or bool(a.allowed & b.allowed)
+
+
+def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ...]:
+    """The equality literals of a point, one per feature in feature order."""
+    return tuple(
+        Literal(feat.index, frozenset({value}))
+        for feat, value in zip(space.features, point)
+    )
 
 
 @dataclass(frozen=True)
@@ -580,15 +588,6 @@ def classify(tree: DecisionTree, instance: Instance) -> tuple[int, TreePath]:
                 break
 
 
-def enumerate_paths(tree: DecisionTree) -> tuple[TreePath, ...]:
-    """All root-to-leaf paths in left-to-right leaf order.
-
-    Path ids partition the list by class (P* for class 1, Q* for class 0);
-    use :meth:`DecisionTree.paths_for_class` for one side of the split.
-    """
-    return tree.paths
-
-
 def path_point_count(space: FeatureSpace, literals: Iterable[Literal]) -> int:
     """Exact number of space points consistent with a literal set."""
     allowed: dict[int, frozenset[int]] = {}
@@ -688,6 +687,8 @@ def parse_tree(text: str) -> DecisionTree:
             nodes[node_id] = Leaf(classes.index(obj["leaf"]))
             continue
         _require_keys(obj, {"feature", "edges"}, f"node {node_id!r}")
+        if not isinstance(obj["feature"], str):
+            raise TreeSchemaError(f"node {node_id!r}: feature must be a name string")
         feat = space.feature_by_name(obj["feature"])
         if not isinstance(obj["edges"], list):
             raise TreeSchemaError(f"node {node_id!r}: edges must be a list")

@@ -125,7 +125,6 @@ class BruteForceOracle:
                 target=class_id,
                 mode=None,
                 source=None,
-                minimal=True,
             )
             for m in minimal
         ]

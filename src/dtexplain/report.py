@@ -26,7 +26,6 @@ __all__ = [
     "batch_report",
     "render_table",
     "display_pct",
-    "fraction_str",
     "TABLE_COLUMNS",
 ]
 
@@ -40,8 +39,11 @@ def display_pct(value: Fraction) -> int:
     return int(value)
 
 
-def fraction_str(value: Fraction) -> str:
-    return str(value)
+def _pct(value: Fraction | None) -> dict | None:
+    """JSON form of a percentage: display value and exact rational."""
+    if value is None:
+        return None
+    return {"display": display_pct(value), "exact": str(value)}
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,7 @@ class PathDetail:
             "redundant": self.redundant,
             "witness": self.witness,
             "point_count": self.point_count,
-            "redundant_literal_pct": (
-                None
-                if self.redundant_literal_pct is None
-                else {
-                    "display": display_pct(self.redundant_literal_pct),
-                    "exact": fraction_str(self.redundant_literal_pct),
-                }
-            ),
+            "redundant_literal_pct": _pct(self.redundant_literal_pct),
         }
 
 
@@ -92,11 +87,6 @@ class TreeReport:
     details: tuple[PathDetail, ...]
 
     def to_obj(self) -> dict:
-        def pct(value: Fraction | None):
-            if value is None:
-                return None
-            return {"display": display_pct(value), "exact": fraction_str(value)}
-
         return {
             "tree": self.label,
             "depth": self.depth,
@@ -104,12 +94,12 @@ class TreeReport:
             "path_count": self.path_count,
             "redundant_count": self.redundant_count,
             "point_total": self.point_total,
-            "pct_redundant": pct(self.pct_redundant),
-            "pct_coverage": pct(self.pct_coverage),
+            "pct_redundant": _pct(self.pct_redundant),
+            "pct_coverage": _pct(self.pct_coverage),
             "redundant_literal_pct": {
-                "min": pct(self.literal_pct_min),
-                "max": pct(self.literal_pct_max),
-                "mean": pct(self.literal_pct_mean),
+                "min": _pct(self.literal_pct_min),
+                "max": _pct(self.literal_pct_max),
+                "mean": _pct(self.literal_pct_mean),
             },
             "paths": [d.to_obj() for d in self.details],
         }
@@ -195,22 +185,16 @@ def aggregate_means(reports: list[TreeReport]) -> dict | None:
     the trees that have redundant paths."""
     if not reports:
         return None
-
-    def pct(value: Fraction | None):
-        if value is None:
-            return None
-        return {"display": display_pct(value), "exact": fraction_str(value)}
-
     return {
-        "depth": pct(_mean([Fraction(r.depth) for r in reports])),
-        "node_count": pct(_mean([Fraction(r.node_count) for r in reports])),
-        "path_count": pct(_mean([Fraction(r.path_count) for r in reports])),
-        "pct_redundant": pct(_mean([r.pct_redundant for r in reports])),
-        "pct_coverage": pct(_mean([r.pct_coverage for r in reports])),
+        "depth": _pct(_mean([Fraction(r.depth) for r in reports])),
+        "node_count": _pct(_mean([Fraction(r.node_count) for r in reports])),
+        "path_count": _pct(_mean([Fraction(r.path_count) for r in reports])),
+        "pct_redundant": _pct(_mean([r.pct_redundant for r in reports])),
+        "pct_coverage": _pct(_mean([r.pct_coverage for r in reports])),
         "redundant_literal_pct": {
-            "min": pct(_mean([r.literal_pct_min for r in reports if r.literal_pct_min is not None])),
-            "max": pct(_mean([r.literal_pct_max for r in reports if r.literal_pct_max is not None])),
-            "mean": pct(_mean([r.literal_pct_mean for r in reports if r.literal_pct_mean is not None])),
+            "min": _pct(_mean([r.literal_pct_min for r in reports if r.literal_pct_min is not None])),
+            "max": _pct(_mean([r.literal_pct_max for r in reports if r.literal_pct_max is not None])),
+            "mean": _pct(_mean([r.literal_pct_mean for r in reports if r.literal_pct_mean is not None])),
         },
     }
 

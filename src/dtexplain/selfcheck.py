@@ -22,7 +22,7 @@ from .explain import (
     one_pi_explanation_path,
 )
 from .hitting import enumerate_pi_explanations
-from .model import DecisionTree, Literal, classify
+from .model import DecisionTree, Literal, classify, instance_literals
 from .oracle import BruteForceOracle, OracleBudget
 from .randtree import random_instance
 
@@ -134,10 +134,7 @@ def check_tree(
         point = random_instance(tree.space, rng)
         where = f"{label}/instance#{k}:{point}"
         target, path = classify(tree, point)
-        equality = tuple(
-            Literal(feat.index, frozenset({value}))
-            for feat, value in zip(tree.space.features, point)
-        )
+        equality = instance_literals(tree.space, point)
         for skip in range(-1, len(equality)):  # -1 keeps the full set
             subset = [lit for i, lit in enumerate(equality) if i != skip]
             _require(

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -252,6 +253,15 @@ def test_bad_tree_file_is_data_error(capsys, tmp_path):
     code, _, err = invoke(capsys, "classify", "-t", str(bad), "-i", "[]")
     assert code == 2
     assert "error" in err
+    text = pathlib.Path(fixture_path("play_tennis")).read_text(encoding="utf-8")
+    for feature in ('["Humidity"]', '{"name": "Humidity"}'):  # not a name string
+        bad.write_text(
+            text.replace('"feature": "Humidity"', f'"feature": {feature}'),
+            encoding="utf-8",
+        )
+        code, _, err = invoke(capsys, "stats", "-t", str(bad))
+        assert code == 2
+        assert "feature must be a name string" in err
 
 
 def test_unknown_path_id_is_data_error(capsys):

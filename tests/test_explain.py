@@ -1,4 +1,6 @@
-"""Redundancy decision, lookup primitive, extraction, entailment."""
+"""Redundancy decision, extraction, entailment."""
+
+import json
 
 import pytest
 
@@ -7,18 +9,18 @@ from conftest import FIXTURE_NAMES, literal_names, load_tree
 from dtexplain import (
     Literal,
     PathMismatchError,
-    UniversalSet,
-    VisitCounter,
+    RedundancyResult,
     bf_entails,
     bf_is_redundant,
-    chk_down,
     classify,
-    droppable_features,
     entails,
     is_path_redundant,
     one_pi_explanation_instance,
     one_pi_explanation_path,
+    parse_tree_file,
 )
+from dtexplain.cli import run
+from dtexplain.explain import _contrary_leaf
 
 
 def lits(tree, *pairs):
@@ -28,43 +30,29 @@ def lits(tree, *pairs):
     ]
 
 
-# -- chk_down -----------------------------------------------------------------
+def allowed_map(literals):
+    return {lit.feature: lit.allowed for lit in literals}
+
+
+# -- contrary-leaf lookup -------------------------------------------------------
 
 
 def test_chk_down_finds_contrary_leaf_when_x4_free():
     tree = load_tree("or_of_ands")
-    state = UniversalSet.from_literals(
-        tree.space, lits(tree, ("x1", 1), ("x2", 0), ("x3", 1))
-    )
+    kept = lits(tree, ("x1", 1), ("x2", 0), ("x3", 1))
     # entry at the sibling edge of P2's x4 test: the x4=0 leaf
-    assert chk_down(tree, "l5", target=1, universals=state) is True
+    assert _contrary_leaf(tree, "l5", 1, allowed_map(kept)) == (True, 1)
+    # from the root, P2 with x4 free reaches that leaf too
+    assert not entails(tree, kept, 1)
 
 
 def test_chk_down_blocked_when_x2_free():
     tree = load_tree("or_of_ands")
-    state = UniversalSet.from_literals(
-        tree.space, lits(tree, ("x1", 1), ("x3", 1), ("x4", 1))
-    )
+    kept = lits(tree, ("x1", 1), ("x3", 1), ("x4", 1))
     # entry at the sibling edge of P2's x2 test: the x2=1 leaf (same class)
-    assert chk_down(tree, "l7", target=1, universals=state) is False
-
-
-def test_chk_down_leaf_of_target_class():
-    tree = load_tree("or_of_ands")
-    state = UniversalSet(tree.space)
-    assert chk_down(tree, "l6", target=1, universals=state) is False
-
-
-def test_chk_down_rec0_skips_visited_and_counts():
-    tree = load_tree("or_of_ands")
-    state = UniversalSet(tree.space)
-    visited: set[str] = set()
-    counter = VisitCounter()
-    assert chk_down(tree, "n4", 1, state, rec=0, visited=visited, counter=counter)
-    first = counter.nodes
-    assert chk_down(tree, "n4", 1, state, rec=0, visited=visited, counter=counter) is False
-    assert counter.nodes == first + 1  # only the re-entry is examined
-    assert chk_down(tree, "n4", 1, state, rec=1) is True  # rec=1 re-examines
+    assert _contrary_leaf(tree, "l7", 1, allowed_map(kept)) == (False, 1)
+    # from the root, P2 with x2 free still forces class 1
+    assert entails(tree, kept, 1)
 
 
 # -- redundancy decision --------------------------------------------------------
@@ -95,17 +83,9 @@ def test_restaurant_named_paths():
     assert not is_path_redundant(tree, irredundant).redundant
 
 
-def test_droppable_features_on_p2():
-    tree = load_tree("or_of_ands")
-    dropped = droppable_features(tree, tree.path("P2"))
-    names = [tree.space.feature(f).name for f in dropped]
-    assert names == ["x2", "x1"]  # deepest-first verdict order
-
-
 def test_single_literal_paths_irredundant():
     tree = load_tree("or_tree")
     assert not is_path_redundant(tree, tree.path("P2")).redundant
-    assert droppable_features(tree, tree.path("P2")) == ()
 
 
 def test_repeated_feature_paths_match_oracle():
@@ -241,17 +221,53 @@ def test_entails_rejects_duplicate_feature():
         entails(tree, lits(tree, ("x1", 0), ("x1", 1)), 1)
 
 
-# -- universal set ------------------------------------------------------------------
+# -- deep trees ---------------------------------------------------------------------
+
+CHAIN_DEPTH = 1100  # deeper than CPython's default recursion limit of 1000
 
 
-def test_universal_set_updates_are_functional():
-    tree = load_tree("play_tennis")
-    state = UniversalSet.from_literals(tree.space, lits(tree, ("Outlook", 1)))
-    assert not state.is_universal(1)
-    widened = state.make_universal(1)
-    assert widened.is_universal(1)
-    assert not state.is_universal(1)
-    assert widened.allowed(1) == frozenset({0, 1, 2})
-    narrowed = state.constrain(2, frozenset({0}))
-    assert narrowed.allowed(2) == frozenset({0})
-    assert state.is_universal(2)
+@pytest.fixture(scope="module")
+def or_chain(tmp_path_factory):
+    """The OR-chain x1 or ... or x1100 over binary features, as a file and
+    parsed: node k tests x_k; value 1 leads to a class-1 leaf and value 0
+    to the next test, the last of which leads to the only class-0 leaf."""
+    nodes = {}
+    for k in range(1, CHAIN_DEPTH + 1):
+        nodes[f"c{k}"] = {
+            "feature": f"x{k}",
+            "edges": [
+                {"values": ["0"], "child": f"c{k + 1}" if k < CHAIN_DEPTH else "none"},
+                {"values": ["1"], "child": f"hit{k}"},
+            ],
+        }
+        nodes[f"hit{k}"] = {"leaf": "1"}
+    nodes["none"] = {"leaf": "0"}
+    doc = {
+        "features": [
+            {"name": f"x{k}", "domain": ["0", "1"]} for k in range(1, CHAIN_DEPTH + 1)
+        ],
+        "classes": ["0", "1"],
+        "root": "c1",
+        "nodes": nodes,
+    }
+    path = tmp_path_factory.mktemp("deep") / "or_chain.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path), parse_tree_file(str(path))
+
+
+def test_deep_chain_explain_instance_through_cli(or_chain, capsys):
+    path, _ = or_chain
+    code = run(["explain", "-t", path, "-i", json.dumps(["0"] * CHAIN_DEPTH)])
+    out = capsys.readouterr().out
+    assert code == 0
+    # every x_k=0 is needed: freeing x_k opens the class-1 leaf below it
+    assert out == "{" + ", ".join(f"x{k}=0" for k in range(1, CHAIN_DEPTH + 1)) + "}\n"
+
+
+def test_deep_chain_redundancy_searches_the_whole_chain(or_chain):
+    _, tree = or_chain
+    shallowest = min(tree.paths_for_class(1), key=lambda p: p.depth)
+    assert literal_names(tree, shallowest.literals) == {"x1=1"}
+    verdict = is_path_redundant(tree, shallowest)
+    # with x1 free, the search descends all 1099 tests below to the class-0 leaf
+    assert verdict == RedundancyResult(False, None, 1 + (CHAIN_DEPTH - 1) + 1)

@@ -26,7 +26,6 @@ from dtexplain import (
     UnreachableLeafError,
     UnsupportedLiteralError,
     classify,
-    enumerate_paths,
     literals_consistent,
     make_instance,
     parse_instance_json,
@@ -125,6 +124,11 @@ def test_unknown_names_rejected():
     bad["nodes"]["t0"]["leaf"] = "maybe"
     with pytest.raises(UnknownClassError):
         parse(bad)
+    for name in (["x1"], {"name": "x1"}):  # not a name at all
+        bad = doc()
+        bad["nodes"]["n0"]["feature"] = name
+        with pytest.raises(TreeSchemaError, match="feature must be a name string"):
+            parse(bad)
 
 
 def test_dangling_child_rejected():
@@ -288,7 +292,7 @@ def test_repeated_feature_aggregates_by_intersection():
 
 def test_constant_tree_single_empty_path():
     tree = load_tree("constant")
-    assert len(enumerate_paths(tree)) == 1
+    assert len(tree.paths) == 1
     assert tree.paths[0].literals == ()
 
 
