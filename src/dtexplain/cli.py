@@ -40,7 +40,7 @@ from .model import (
 )
 from .oracle import BruteForceOracle, BudgetExceededError, OracleBudget
 from .randtree import random_tree
-from .report import aggregate_means, batch_report, render_table, tree_report
+from .report import aggregate_means, batch_report, render_table
 from .selfcheck import OracleMismatch, CheckStats, check_tree
 
 EXIT_OK = 0
@@ -183,13 +183,12 @@ def _verify_explanation(
 
 def _cmd_classify(args) -> int:
     tree = parse_tree_file(args.tree)
+    oracle = _oracle(tree) if args.verify else None
     results = []
     for point in _load_instances(tree, args):
         class_id, path = classify(tree, point)
-        if args.verify:
-            oracle = _oracle(tree)
-            if not oracle.entails(path.literals, class_id):
-                raise OracleMismatch("path literals do not entail the class")
+        if oracle is not None and not oracle.entails(path.literals, class_id):
+            raise OracleMismatch("path literals do not entail the class")
         results.append(
             {
                 "class": tree.classes[class_id],
@@ -345,10 +344,8 @@ def _cmd_stats(args) -> int:
     reports, errors = batch_report(args.tree)
     if args.verify:
         for report in reports:
-            tree = parse_tree_file(report.label)
-            oracle = _oracle(tree)
-            for detail in report.details:
-                path = tree.path(detail.path_id)
+            oracle = _oracle(report.tree)
+            for path, detail in zip(report.tree.paths, report.details):
                 if oracle.is_redundant(path) != detail.redundant:
                     raise OracleMismatch(
                         f"{report.label}: redundancy of {detail.path_id} "

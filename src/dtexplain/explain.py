@@ -153,12 +153,17 @@ def entails(tree: DecisionTree, literals: Iterable[Literal], class_id: int) -> b
     return not _contrary_leaf(tree, tree.root, class_id, allowed)[0]
 
 
-def _above_intersections(path: TreePath) -> list[frozenset[int] | None]:
+def _above_intersections(
+    tree: DecisionTree, path: TreePath
+) -> list[frozenset[int] | None]:
     """Per node, the intersection of the edge sets taken at strictly
     shallower tests of the same feature (None when there are none)."""
     running: dict[int, frozenset[int]] = {}
     out: list[frozenset[int] | None] = []
-    for feat, values in zip(path.node_features, path.node_values):
+    for node_id, feat, taken in zip(
+        path.node_ids, path.node_features, path.node_edge_index
+    ):
+        values = tree.nodes[node_id].edges[taken].values
         out.append(running.get(feat))
         if feat in running:
             running[feat] &= values
@@ -181,7 +186,7 @@ def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
     visits = 0
     base = path.literal_map
     allowed = dict(base)
-    above = _above_intersections(path)
+    above = _above_intersections(tree, path)
     remaining = {f: path.node_features.count(f) for f in base}
     failed: set[int] = set()
     for position in range(len(path.node_ids) - 1, -1, -1):

@@ -116,28 +116,31 @@ def _minimal_hitting_index_sets(
     Branches on the lowest-index unhit set, never re-adding an element a
     sibling branch already covered, prunes supersets of found answers, and
     keeps a candidate only if removing any element leaves some set unhit.
+    An explicit stack in preorder keeps set size free of recursion limits.
     """
     found: list[frozenset[int]] = []
 
     def hits_all(candidate: frozenset[int]) -> bool:
         return all(candidate & s for s in family)
 
-    def search(current: frozenset[int], banned: frozenset[int]) -> None:
+    # (candidate, banned); children are pushed in reverse so they pop in
+    # order, each after its earlier siblings' subtrees are done
+    stack: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())]
+    while stack:
+        current, banned = stack.pop()
         if any(prior <= current for prior in found):
-            return
+            continue
         unhit = next((s for s in family if not (current & s)), None)
         if unhit is None:
             if all(not hits_all(current - {i}) for i in current):
                 found.append(current)
-            return
-        local_ban = banned
+            continue
+        children = []
         for i in sorted(unhit):
-            if i in local_ban:
-                continue
-            search(current | {i}, local_ban)
-            local_ban = local_ban | {i}
-
-    search(frozenset(), frozenset())
+            if i not in banned:
+                children.append((current | {i}, banned))
+                banned = banned | {i}
+        stack.extend(reversed(children))
     return found
 
 

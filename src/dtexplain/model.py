@@ -14,6 +14,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -192,8 +193,6 @@ class FeatureSpace:
 
     def points(self):
         """Iterate all points of the space as value-index tuples."""
-        import itertools
-
         return itertools.product(*(range(len(f.domain)) for f in self.features))
 
 
@@ -319,18 +318,19 @@ Node = Split | Leaf
 class TreePath:
     """A root-to-leaf path with its aggregated literal set.
 
-    ``node_ids``/``node_features``/``node_values`` record the internal
+    ``node_ids``/``node_features``/``node_edge_index`` record the internal
     nodes in root-first order together with the feature tested and the
-    edge value set taken at each; a repeatedly tested feature therefore
-    keeps one record per node while ``literals`` holds the single
-    aggregated literal.
+    index of the edge taken at each (its value set is
+    ``tree.nodes[node_id].edges[index].values``); a repeatedly tested
+    feature therefore keeps one record per node while ``literals`` holds
+    the single aggregated literal, in order of first test.  Paths below a
+    common node share their ``Literal`` objects.
     """
 
     tree: "DecisionTree" = field(repr=False)
     path_id: str
     node_ids: tuple[str, ...]
     node_features: tuple[int, ...]
-    node_values: tuple[frozenset[int], ...]
     node_edge_index: tuple[int, ...]
     leaf_id: str
     prediction: int
@@ -378,17 +378,18 @@ class DecisionTree:
             raise TreeSchemaError("duplicate class name")
         self.root = root
         self.nodes: dict[str, Node] = dict(nodes)
-        self._validate_nodes()
-        self._validate_shape()
-        self._paths = self._build_paths()
+        self._paths = self._build_paths(self._validate_nodes())
         self._path_by_id = {p.path_id: p for p in self._paths}
         self._path_by_leaf = {p.leaf_id: p for p in self._paths}
 
     # -- validation -------------------------------------------------------
 
-    def _validate_nodes(self) -> None:
+    def _validate_nodes(self) -> dict[str, str]:
+        """Check each node and edge target; returns each child's parent."""
         if self.root not in self.nodes:
             raise DanglingChildError(f"root node {self.root!r} does not exist")
+        parents: dict[str, str] = {}
+        clash = None  # a second parent or an edge into the root, raised last
         for node_id, node in self.nodes.items():
             if isinstance(node, Leaf):
                 if not 0 <= node.class_id < len(self.classes):
@@ -422,6 +423,12 @@ class DecisionTree:
                     raise DanglingChildError(
                         f"node {node_id!r}: child {edge.child!r} does not exist"
                     )
+                if clash is None:
+                    if edge.child == self.root:
+                        clash = "root has an incoming edge"
+                    elif edge.child in parents:
+                        clash = f"node {edge.child!r} has more than one parent"
+                parents[edge.child] = node_id
             if seen != set(range(len(feat.domain))):
                 missing = sorted(set(range(len(feat.domain))) - seen)
                 names = ", ".join(feat.domain[v] for v in missing)
@@ -429,88 +436,72 @@ class DecisionTree:
                     f"node {node_id!r}: non-covering edges on {feat.name!r} "
                     f"(missing {names})"
                 )
+        if clash is not None:
+            raise NotATreeError(clash)
+        return parents
 
-    def _validate_shape(self) -> None:
-        parents: dict[str, str] = {}
-        for node_id, node in self.nodes.items():
-            if isinstance(node, Leaf):
-                continue
-            for edge in node.edges:
-                if edge.child == self.root:
-                    raise NotATreeError("root has an incoming edge")
-                if edge.child in parents:
-                    raise NotATreeError(
-                        f"node {edge.child!r} has more than one parent"
-                    )
-                parents[edge.child] = node_id
-        # a parent chain that revisits a node is a cycle
-        for node_id in self.nodes:
-            seen = {node_id}
-            cur = node_id
-            while cur in parents:
-                cur = parents[cur]
-                if cur in seen:
+    def _reject_unreached(self, parents: dict[str, str], empty: tuple | None) -> None:
+        """Raise a cycle, else a parentless node, else the empty edge.  With
+        one parent per node, each parent chain is walked once."""
+        done: set[str] = set()
+        for start in self.nodes:
+            chain: set[str] = set()
+            cur: str | None = start
+            while cur is not None and cur not in done:
+                if cur in chain:
                     raise CycleError(f"node {cur!r} is its own ancestor")
-                seen.add(cur)
-        reachable = {self.root} | set(parents)
-        unreachable = sorted(set(self.nodes) - reachable)
-        if unreachable:
-            raise NotATreeError(f"unreachable node {unreachable[0]!r}")
+                chain.add(cur)
+                cur = parents.get(cur)
+            done |= chain
+        orphans = [n for n in self.nodes if n not in parents and n != self.root]
+        if orphans:
+            raise NotATreeError(f"unreachable node {min(orphans)!r}")
+        node_id, i, f = empty
+        raise UnreachableLeafError(
+            f"node {node_id!r} edge #{i} is unreachable: repeated tests of "
+            f"{self.space.feature(f).name!r} leave no allowed value"
+        )
 
     # -- path enumeration --------------------------------------------------
 
-    def _build_paths(self) -> tuple[TreePath, ...]:
-        records = []  # (node ids, features, values, edge indices, leaf, class)
-        stack = [(self.root, (), (), (), ())]
+    def _build_paths(self, parents: dict[str, str]) -> tuple[TreePath, ...]:
+        """One depth-first pass from the root, edges in declaration order.
+        A child's literals are its parent's plus one, or with the re-tested
+        feature's literal narrowed, so paths below a node share them; an
+        edge narrowed to no value is not entered."""
+        counters = [0] * len(self.classes)
+        paths = []
+        reached = 0
+        empty = None
+        stack: list[tuple] = [(self.root, (), (), (), ())]
         while stack:
-            node_id, ids, feats, vals, eidx = stack.pop()
+            node_id, ids, feats, eidx, lits = stack.pop()
+            reached += 1
             node = self.nodes[node_id]
             if isinstance(node, Leaf):
-                records.append((ids, feats, vals, eidx, node_id, node.class_id))
+                c = node.class_id
+                counters[c] += 1
+                pid = self._path_prefix(c) + str(counters[c])
+                paths.append(TreePath(self, pid, ids, feats, eidx, node_id, c, lits))
                 continue
+            f = node.feature
+            k = [lit.feature for lit in lits].index(f) if f in feats else None
+            ids += (node_id,)
+            feats += (f,)
             # push in reverse so edges pop in declaration order
             for i in range(len(node.edges) - 1, -1, -1):
                 edge = node.edges[i]
-                stack.append(
-                    (
-                        edge.child,
-                        ids + (node_id,),
-                        feats + (node.feature,),
-                        vals + (edge.values,),
-                        eidx + (i,),
-                    )
-                )
-        counters = [0] * len(self.classes)
-        paths = []
-        for ids, feats, vals, eidx, leaf_id, class_id in records:
-            aggregated: dict[int, frozenset[int]] = {}
-            order: list[int] = []
-            for f, v in zip(feats, vals):
-                if f in aggregated:
-                    aggregated[f] = aggregated[f] & v
+                if k is None:
+                    child_lits = lits + (Literal(f, edge.values),)
                 else:
-                    aggregated[f] = v
-                    order.append(f)
-            for f in order:
-                if not aggregated[f]:
-                    raise UnreachableLeafError(
-                        f"leaf {leaf_id!r} is unreachable: repeated tests of "
-                        f"{self.space.feature(f).name!r} leave no allowed value"
-                    )
-            counters[class_id] += 1
-            paths.append(
-                TreePath(
-                    tree=self,
-                    path_id=self._path_prefix(class_id) + str(counters[class_id]),
-                    node_ids=ids,
-                    node_features=feats,
-                    node_values=vals,
-                    node_edge_index=eidx,
-                    leaf_id=leaf_id,
-                    prediction=class_id,
-                    literals=tuple(Literal(f, aggregated[f]) for f in order),
-                )
-            )
+                    narrowed = lits[k].allowed & edge.values
+                    if not narrowed:
+                        empty = empty or (node_id, i, f)
+                        continue
+                    child_lits = lits[:k] + (Literal(f, narrowed),) + lits[k + 1 :]
+                stack.append((edge.child, ids, feats, eidx + (i,), child_lits))
+        if empty is not None or reached < len(self.nodes):
+            self._reject_unreached(parents, empty)
         return tuple(paths)
 
     def _path_prefix(self, class_id: int) -> str:

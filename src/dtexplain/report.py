@@ -13,7 +13,7 @@ root-to-leaf path and the node count includes leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .explain import Explanation, is_path_redundant, one_pi_explanation_path
@@ -85,6 +85,7 @@ class TreeReport:
     literal_pct_max: Fraction | None
     literal_pct_mean: Fraction | None
     details: tuple[PathDetail, ...]
+    tree: DecisionTree = field(repr=False, compare=False)  # the tree audited
 
     def to_obj(self) -> dict:
         return {
@@ -154,6 +155,7 @@ def tree_report(tree: DecisionTree, label: str = "tree") -> TreeReport:
             sum(literal_pcts, Fraction(0)) / len(literal_pcts) if literal_pcts else None
         ),
         details=tuple(details),
+        tree=tree,
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import fixture_path, load_tree
 
+import dtexplain
 from dtexplain import Literal, bf_entails
 from dtexplain.cli import run
 from dtexplain.explain import RedundancyResult
@@ -307,6 +309,21 @@ def test_verify_stats(capsys):
     assert code == 0
 
 
+def test_verify_stats_parses_each_file_once(capsys, monkeypatch):
+    real_parse = dtexplain.model.parse_tree
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(dtexplain.model, "parse_tree", counting_parse)
+    files = [fixture_path("articles"), fixture_path("or_tree")]
+    code, _, _ = invoke(capsys, "stats", "-t", *files, "--verify")
+    assert code == 0
+    assert len(parsed) == len(files)
+
+
 def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
     def lie(tree, path):
         honest = is_path_redundant_real(tree, path)
@@ -374,6 +391,9 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package the tests imported, installed or not
+    src = str(pathlib.Path(dtexplain.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable, "-m", "dtexplain",
@@ -382,6 +402,7 @@ def test_console_entry_point():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"x3": "1", "x4": "1"}

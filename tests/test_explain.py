@@ -271,3 +271,13 @@ def test_deep_chain_redundancy_searches_the_whole_chain(or_chain):
     verdict = is_path_redundant(tree, shallowest)
     # with x1 free, the search descends all 1099 tests below to the class-0 leaf
     assert verdict == RedundancyResult(False, None, 1 + (CHAIN_DEPTH - 1) + 1)
+
+
+def test_deep_chain_enumerate_instance_through_cli(or_chain, capsys):
+    path, _ = or_chain
+    code = run(["enumerate", "-t", path, "-i", json.dumps(["0"] * CHAIN_DEPTH)])
+    out = capsys.readouterr().out
+    assert code == 0
+    # each class-1 leaf conflicts with its own x_k=0 only, so the one
+    # minimal hitting set holds every literal
+    assert out == "{" + ", ".join(f"x{k}=0" for k in range(1, CHAIN_DEPTH + 1)) + "}\n"

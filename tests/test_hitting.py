@@ -12,6 +12,7 @@ from dtexplain import (
     HittingSetError,
     HittingSetInstance,
     Literal,
+    OracleBudget,
     PATH_RESTRICTED,
     PATH_UNRESTRICTED,
     build_hitting_sets,
@@ -19,8 +20,10 @@ from dtexplain import (
     enumerate_mhs,
     enumerate_pi_explanations,
     entails,
+    is_path_redundant,
     one_pi_explanation_path,
     parse_tree,
+    random_tree,
 )
 
 
@@ -240,3 +243,30 @@ def test_one_explanation_is_member_of_enumeration(name):
             e.literals for e in enumerate_pi_explanations(tree, path, PATH_RESTRICTED)
         }
         assert one.literals in everything
+
+
+def test_layers_agree_beyond_the_oracle_budget():
+    """Metamorphic checks on trees whose feature space the brute-force
+    oracle refuses: the layers must agree with one another."""
+    budget = OracleBudget().max_points
+    trees = (
+        random_tree(seed, max_features=12, max_domain=5, max_depth=6)
+        for seed in range(200)
+    )
+    oversized = [t for t in trees if t.space.point_count() > budget][:6]
+    assert len(oversized) == 6
+    for tree in oversized:
+        for path in tree.paths:
+            assert entails(tree, path.literals, path.prediction)
+            verdict = is_path_redundant(tree, path)
+            one = one_pi_explanation_path(tree, path)
+            assert verdict.redundant == (len(one.literals) < len(path.literals))
+            everything = [
+                e.literals
+                for e in enumerate_pi_explanations(tree, path, PATH_RESTRICTED)
+            ]
+            assert one.literals in everything
+            for found in everything:
+                assert entails(tree, found, path.prediction)
+                for lit in found:
+                    assert not entails(tree, found - {lit}, path.prediction)

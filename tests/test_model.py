@@ -1,12 +1,17 @@
 """Tree model: parsing, validation, classification, paths, counting."""
 
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_NAMES, literal_names, load_tree
+from conftest import FIXTURE_NAMES, fixture_path, literal_names, load_tree
 
 from dtexplain import (
     CycleError,
@@ -18,6 +23,7 @@ from dtexplain import (
     InstanceError,
     Literal,
     NotATreeError,
+    TreeFormatError,
     TreeSchemaError,
     TreeSyntaxError,
     UnknownClassError,
@@ -34,6 +40,7 @@ from dtexplain import (
     read_instances_csv,
     serialize_tree,
 )
+from dtexplain.cli import run
 
 
 def doc(**overrides):
@@ -216,6 +223,113 @@ def test_empty_aggregate_rejected():
     }
     with pytest.raises(UnreachableLeafError):
         parse(bad)
+
+
+# -- schema fuzzing -------------------------------------------------------------
+
+_JUNK = (None, 7, 1.5, True, "0", "x1", [], {}, ["0"], {"leaf": "0"})
+_KEYS = ("op", "threshold", "leaf", "feature", "edges", "values", "child", "extra")
+
+
+def _slots(obj, out):
+    """Every (container, key) slot below ``obj``, in document order."""
+    if isinstance(obj, dict):
+        items = list(obj.items())
+    elif isinstance(obj, list):
+        items = list(enumerate(obj))
+    else:
+        items = []
+    for key, value in items:
+        out.append((obj, key))
+        _slots(value, out)
+    return out
+
+
+def _edit_structure(doc, choose):
+    """One structural fault on a valid document, or none."""
+    nodes, root = doc["nodes"], doc["root"]
+    edges = [(nid, e) for nid, node in nodes.items() for e in node.get("edges", ())]
+    parent = {e["child"]: nid for nid, e in edges}
+    kind = choose(8)
+    if kind in (1, 2, 3, 7) and not edges:
+        return
+    if kind in (1, 2, 3, 7):
+        owner, edge = edges[choose(len(edges))]
+    if kind == 1:  # an edge into the root
+        edge["child"] = root
+    elif kind == 2:  # an edge to an ancestor, or to its own node
+        ancestors = [owner]
+        while ancestors[-1] in parent:
+            ancestors.append(parent[ancestors[-1]])
+        edge["child"] = ancestors[choose(len(ancestors))]
+    elif kind == 3:  # an edge to a node of another subtree
+        others = sorted(set(nodes) - {edge["child"]})
+        edge["child"] = others[choose(len(others))]
+    elif kind == 4:  # a deleted node
+        ids = sorted(nodes)
+        del nodes[ids[choose(len(ids))]]
+    elif kind == 5:  # an orphan
+        nodes["orphan"] = {"leaf": doc["classes"][0]}
+    elif kind == 6 and doc["features"]:  # a disconnected 2-cycle
+        feat = doc["features"][0]
+        for here, there in (("cyc1", "cyc2"), ("cyc2", "cyc1")):
+            nodes[here] = {
+                "feature": feat["name"],
+                "edges": [{"values": list(feat["domain"]), "child": there}],
+            }
+    elif kind == 7:  # re-test the feature below the edge with no value left
+        name = nodes[owner]["feature"]
+        domain = next(f["domain"] for f in doc["features"] if f["name"] == name)
+        rest = [v for v in domain if v not in edge["values"]]
+        if rest:
+            nodes["narrow"] = {
+                "feature": name,
+                "edges": [
+                    {"values": rest, "child": edge["child"]},
+                    {"values": list(edge["values"]), "child": "narrow_leaf"},
+                ],
+            }
+            nodes["narrow_leaf"] = {"leaf": doc["classes"][0]}
+            edge["child"] = "narrow"
+
+
+def mutate(doc, choose):
+    """Apply a structural fault and up to two schema edits to a fixture
+    document; ``choose(n)`` picks an integer in ``range(n)``."""
+    _edit_structure(doc, choose)
+    for _ in range(choose(3)):
+        slots = _slots(doc, [])
+        kind = choose(3)
+        if kind == 2 or not slots:  # add a key, ordinal ones included
+            objects = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+            target = objects[choose(len(objects))]
+            target[_KEYS[choose(len(_KEYS))]] = copy.deepcopy(_JUNK[choose(len(_JUNK))])
+            continue
+        container, key = slots[choose(len(slots))]
+        if kind == 0:  # swap a value's type
+            container[key] = copy.deepcopy(_JUNK[choose(len(_JUNK))])
+        else:  # drop a key or a list item
+            del container[key]
+    return doc
+
+
+@given(name=st.sampled_from(FIXTURE_NAMES), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_documents_fail_only_as_tree_format_errors(name, data):
+    with open(fixture_path(name), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    text = json.dumps(mutate(doc, lambda n: data.draw(st.integers(0, n - 1))))
+    try:
+        parse_tree(text)
+    except TreeFormatError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tree.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(["stats", "-t", path])
+    assert code in (0, 2)
 
 
 # -- classification -----------------------------------------------------------
