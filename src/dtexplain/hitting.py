@@ -6,6 +6,10 @@ every contrary path.  Each contrary path contributes the set of candidates
 inconsistent with it; a subset of R entails iff it hits each of those
 sets, and the subset-minimal hitting sets are precisely the
 PI-explanations drawn from R.
+
+Whatever hits a member hits its supersets, so the search keeps only the
+distinct inclusion-minimal members, as int bitmasks: in path-unrestricted
+mode, the instance's contrastive explanations (Ignatiev et al., NeurIPS 2019).
 """
 
 from __future__ import annotations
@@ -59,17 +63,6 @@ class HittingSetInstance:
         ]
 
 
-def _inconsistent_candidates(
-    universe: tuple[Literal, ...], contrary: TreePath
-) -> frozenset[int]:
-    allowed = contrary.literal_map
-    return frozenset(
-        i
-        for i, lit in enumerate(universe)
-        if lit.feature in allowed and not (lit.allowed & allowed[lit.feature])
-    )
-
-
 def build_hitting_sets(
     tree: DecisionTree,
     source: TreePath | Instance,
@@ -96,50 +89,54 @@ def build_hitting_sets(
     else:
         raise HittingSetError(f"unknown mode {mode!r}")
 
+    position = {lit.feature: (i, lit.allowed) for i, lit in enumerate(universe)}
     sets = []
     for contrary in tree.contrary_paths(target):
-        members = _inconsistent_candidates(universe, contrary)
+        members = []
+        for lit in contrary.literals:
+            candidate = position.get(lit.feature)
+            if candidate is not None and candidate[1].isdisjoint(lit.allowed):
+                members.append(candidate[0])
         if not members:
             raise HittingSetError(
                 f"tree/source inconsistency: contrary path {contrary.path_id!r} "
                 "conflicts with no candidate literal"
             )
-        sets.append((contrary.path_id, members))
+        sets.append((contrary.path_id, frozenset(members)))
     return HittingSetInstance(universe=universe, sets=tuple(sets))
 
 
-def _minimal_hitting_index_sets(
-    family: list[frozenset[int]],
-) -> list[frozenset[int]]:
-    """All subset-minimal hitting sets of a family of index sets.
+def _minimal_hitting_masks(family: list[int]) -> list[int]:
+    """All subset-minimal hitting sets of a family of int bitmasks.
 
-    Branches on the lowest-index unhit set, never re-adding an element a
-    sibling branch already covered, prunes supersets of found answers, and
-    keeps a candidate only if removing any element leaves some set unhit.
-    An explicit stack in preorder keeps set size free of recursion limits.
+    Branches on the first unhit set, never re-adding an element a sibling
+    branch already covered, prunes supersets of found answers, and keeps
+    a hitting set if each element is critical (alone hits some set).  An
+    explicit stack in preorder keeps set size free of recursion limits.
     """
-    found: list[frozenset[int]] = []
-
-    def hits_all(candidate: frozenset[int]) -> bool:
-        return all(candidate & s for s in family)
-
+    found: list[int] = []
     # (candidate, banned); children are pushed in reverse so they pop in
     # order, each after its earlier siblings' subtrees are done
-    stack: list[tuple[frozenset[int], frozenset[int]]] = [(frozenset(), frozenset())]
+    stack = [(0, 0)]
     while stack:
         current, banned = stack.pop()
-        if any(prior <= current for prior in found):
+        if any(prior & current == prior for prior in found):
             continue
-        unhit = next((s for s in family if not (current & s)), None)
+        unhit = next((s for s in family if not s & current), None)
         if unhit is None:
-            if all(not hits_all(current - {i}) for i in current):
+            critical = 0
+            for meet in (s & current for s in family):
+                if not meet & (meet - 1):
+                    critical |= meet
+            if critical == current:
                 found.append(current)
             continue
         children = []
-        for i in sorted(unhit):
-            if i not in banned:
-                children.append((current | {i}, banned))
-                banned = banned | {i}
+        free = unhit & ~banned
+        for i in range(free.bit_length()):
+            if free >> i & 1:
+                children.append((current | 1 << i, banned))
+                banned |= 1 << i
         stack.extend(reversed(children))
     return found
 
@@ -149,23 +146,24 @@ def enumerate_mhs(
 ) -> list[frozenset[Literal]]:
     """All minimal hitting sets of the family, as literal sets.
 
-    The output is sorted by (cardinality, universe indices) and truncated
-    at ``limit`` if given; every emitted set is a genuine minimal hitting
-    set even when truncated.  An empty family has exactly the empty set
-    as its sole answer.
+    The search runs on the distinct inclusion-minimal members, smallest
+    first.  The output is sorted by (cardinality, universe indices) and
+    cut at ``limit`` if given; that order needs every set, so the search
+    is always complete (it is cheap on the minimised family).  An empty
+    family has exactly the empty set as its sole answer.
     """
-    family: list[frozenset[int]] = []
-    for _, members in instance.sets:
-        if members not in family:
-            family.append(members)
-    if not family:
-        hits = [frozenset()]
-    else:
-        hits = _minimal_hitting_index_sets(family)
-    hits.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    if limit is not None:
-        hits = hits[:limit]
-    return [frozenset(instance.universe[i] for i in s) for s in hits]
+    distinct = {members for _, members in instance.sets}
+    masks = {sum(1 << i for i in members) for members in distinct}
+    family: list[int] = []
+    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        if not any(kept & mask == kept for kept in family):
+            family.append(mask)
+    found = [
+        [i for i in range(len(instance.universe)) if mask >> i & 1]
+        for mask in _minimal_hitting_masks(family)
+    ]
+    found.sort(key=lambda s: (len(s), s))
+    return [frozenset(instance.universe[i] for i in s) for s in found[:limit]]
 
 
 def enumerate_pi_explanations(

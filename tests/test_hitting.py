@@ -1,14 +1,16 @@
 """Hitting-set construction and minimal-hitting-set enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import literal_names, load_tree
+from conftest import FIXTURE_NAMES, literal_names, load_tree
 
 from dtexplain import (
+    BruteForceOracle,
     HittingSetError,
     HittingSetInstance,
     Literal,
@@ -155,15 +157,17 @@ def brute_force_mhs(n, index_sets):
 
 
 @given(
-    n=st.integers(1, 7),
+    n=st.integers(1, 8),
     data=st.data(),
 )
 @settings(max_examples=120, deadline=None)
 def test_mhs_matches_brute_force(n, data):
+    # a dozen sets over at most eight elements: duplicates and strict
+    # supersets are common, so the family's minimisation is exercised
     sets = data.draw(
         st.lists(
             st.sets(st.integers(0, n - 1), min_size=1).map(frozenset),
-            max_size=6,
+            max_size=12,
         )
     )
     u = abstract_universe(n)
@@ -178,6 +182,50 @@ def test_mhs_matches_brute_force(n, data):
         tuple(sorted(lit.feature for lit in s)) for s in enumerate_mhs(hs)
     ]
     assert ordered == sorted(ordered, key=lambda t: (len(t), t))
+
+
+def contrastive_index_sets(oracle, universe, target):
+    """Subset-minimal C for which the universe without C does not entail
+    the target, by brute force over subsets of universe indices."""
+    n = len(universe)
+    found = []
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            c = frozenset(combo)
+            if any(prior <= c for prior in found):
+                continue
+            rest = [universe[i] for i in range(n) if i not in c]
+            if not oracle.entails(rest, target):
+                found.append(c)
+    return set(found)
+
+
+def minimal_members(hs):
+    members = {m for _, m in hs.sets}
+    return {m for m in members if not any(other < m for other in members)}
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [pytest.param(load_tree(name), id=name) for name in FIXTURE_NAMES]
+    + [pytest.param(random_tree(seed), id=f"random_tree-{seed}") for seed in range(6)],
+)
+def test_minimal_family_members_are_the_contrastive_explanations(tree):
+    """The distinct inclusion-minimal family members are exactly the
+    contrastive explanations drawn from the universe, in both modes."""
+    oracle = BruteForceOracle(tree)
+    for path in tree.paths:
+        hs = build_hitting_sets(tree, path, PATH_RESTRICTED)
+        truth = contrastive_index_sets(oracle, hs.universe, path.prediction)
+        assert minimal_members(hs) == truth, path.path_id
+    points = list(tree.space.points())
+    if len(points) > 48:
+        points = random.Random(5).sample(points, 48)
+    for point in points:
+        hs = build_hitting_sets(tree, point, PATH_UNRESTRICTED)
+        target, _ = classify(tree, point)
+        truth = contrastive_index_sets(oracle, hs.universe, target)
+        assert minimal_members(hs) == truth, point
 
 
 # -- composed enumeration -------------------------------------------------------
