@@ -23,7 +23,7 @@ from .explain import (
     one_pi_explanation_instance,
     one_pi_explanation_path,
 )
-from .hitting import HittingSetError, enumerate_pi_explanations
+from .hitting import HittingSetError, _candidates, enumerate_pi_explanations
 from .model import (
     DecisionTree,
     InconsistentLiteralsError,
@@ -31,9 +31,7 @@ from .model import (
     InstanceError,
     PathMismatchError,
     TreeFormatError,
-    TreePath,
     classify,
-    instance_literals,
     parse_instance_json,
     parse_tree_file,
     read_instances_csv,
@@ -41,7 +39,7 @@ from .model import (
 from .oracle import BruteForceOracle, BudgetExceededError, OracleBudget
 from .randtree import random_tree
 from .report import aggregate_means, batch_report, render_table
-from .selfcheck import OracleMismatch, CheckStats, check_tree
+from .selfcheck import OracleMismatch, CheckStats, _check_minimal, check_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,19 +166,6 @@ def _oracle(tree: DecisionTree) -> BruteForceOracle:
     return BruteForceOracle(tree, OracleBudget())
 
 
-def _verify_explanation(
-    oracle: BruteForceOracle, explanation: Explanation
-) -> None:
-    if not oracle.entails(explanation.literals, explanation.target):
-        raise OracleMismatch("explanation does not entail the prediction")
-    for lit in explanation.literals:
-        if oracle.entails(explanation.literals - {lit}, explanation.target):
-            raise OracleMismatch(
-                "explanation is not subset-minimal "
-                f"(droppable literal on feature index {lit.feature})"
-            )
-
-
 def _cmd_classify(args) -> int:
     tree = parse_tree_file(args.tree)
     oracle = _oracle(tree) if args.verify else None
@@ -282,7 +267,7 @@ def _cmd_explain(args) -> int:
         else:
             explanation = one_pi_explanation_instance(tree, source)
         if oracle is not None:
-            _verify_explanation(oracle, explanation)
+            _check_minimal(oracle.entails, explanation.literals, explanation.target)
         results.append(explanation)
     single = len(results) == 1
     payload = (
@@ -308,12 +293,7 @@ def _cmd_enumerate(args) -> int:
     for mode, source in sources:
         explanations = enumerate_pi_explanations(tree, source, mode, args.limit)
         if oracle is not None:
-            if isinstance(source, TreePath):
-                universe = source.literals
-                target = source.prediction
-            else:
-                universe = instance_literals(tree.space, source)
-                target, _ = classify(tree, source)
+            universe, target, _ = _candidates(tree, source, mode)
             truth = {e.literals for e in oracle.enumerate_pi(universe, target)}
             mine = {e.literals for e in explanations}
             if args.limit is None and mine != truth:

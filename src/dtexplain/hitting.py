@@ -7,9 +7,14 @@ inconsistent with it; a subset of R entails iff it hits each of those
 sets, and the subset-minimal hitting sets are precisely the
 PI-explanations drawn from R.
 
-Whatever hits a member hits its supersets, so the search keeps only the
-distinct inclusion-minimal members, as int bitmasks: in path-unrestricted
-mode, the instance's contrastive explanations (Ignatiev et al., NeurIPS 2019).
+Whatever hits a member hits its supersets, so only the distinct
+inclusion-minimal members matter: in path-unrestricted mode, the
+instance's contrastive explanations (Ignatiev et al., NeurIPS 2019).
+Enumeration finds exactly those with one explicit-stack search from the
+root, :func:`_contrary_family`, which carries the conflict set down as an
+int bitmask and skips every subtree whose mask already contains a member
+it found.  :func:`build_hitting_sets` still lists one member per contrary
+path, for inspection.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from .model import (
     DecisionTree,
     Instance,
+    Leaf,
     Literal,
     TreePath,
     classify,
@@ -41,8 +47,8 @@ class HittingSetError(ValueError):
 
 @dataclass(frozen=True)
 class HittingSetInstance:
-    """A family of subsets of a candidate literal universe, one per
-    contrary path, each tagged with the path id it came from."""
+    """A family of subsets of a candidate literal universe, each tagged
+    with the id of the contrary path it came from."""
 
     universe: tuple[Literal, ...]
     sets: tuple[tuple[str, frozenset[int]], ...]  # (path id, universe indices)
@@ -63,6 +69,31 @@ class HittingSetInstance:
         ]
 
 
+def _candidates(
+    tree: DecisionTree, source: TreePath | Instance, mode: str
+) -> tuple[tuple[Literal, ...], int, str | tuple]:
+    """The candidate universe, the predicted class and the explanation tag
+    of a path (path-restricted) or an instance (path-unrestricted)."""
+    if mode == PATH_RESTRICTED:
+        if not isinstance(source, TreePath):
+            raise HittingSetError("path-restricted mode needs a tree path source")
+        tree.check_owns(source)
+        return source.literals, source.prediction, source.path_id
+    if mode == PATH_UNRESTRICTED:
+        if isinstance(source, TreePath):
+            raise HittingSetError("path-unrestricted mode needs an instance source")
+        target, _ = classify(tree, source)
+        return instance_literals(tree.space, source), target, tuple(source)
+    raise HittingSetError(f"unknown mode {mode!r}")
+
+
+def _no_conflict(path_id: str) -> HittingSetError:
+    return HittingSetError(
+        f"tree/source inconsistency: contrary path {path_id!r} "
+        "conflicts with no candidate literal"
+    )
+
+
 def build_hitting_sets(
     tree: DecisionTree,
     source: TreePath | Instance,
@@ -75,20 +106,7 @@ def build_hitting_sets(
     instance.  Every contrary path must be inconsistent with at least one
     candidate; an empty family member signals a malformed tree/source pair.
     """
-    if mode == PATH_RESTRICTED:
-        if not isinstance(source, TreePath):
-            raise HittingSetError("path-restricted mode needs a tree path source")
-        tree.check_owns(source)
-        target = source.prediction
-        universe = source.literals
-    elif mode == PATH_UNRESTRICTED:
-        if isinstance(source, TreePath):
-            raise HittingSetError("path-unrestricted mode needs an instance source")
-        target, _ = classify(tree, source)
-        universe = instance_literals(tree.space, source)
-    else:
-        raise HittingSetError(f"unknown mode {mode!r}")
-
+    universe, target, _ = _candidates(tree, source, mode)
     position = {lit.feature: (i, lit.allowed) for i, lit in enumerate(universe)}
     sets = []
     for contrary in tree.contrary_paths(target):
@@ -98,12 +116,80 @@ def build_hitting_sets(
             if candidate is not None and candidate[1].isdisjoint(lit.allowed):
                 members.append(candidate[0])
         if not members:
-            raise HittingSetError(
-                f"tree/source inconsistency: contrary path {contrary.path_id!r} "
-                "conflicts with no candidate literal"
-            )
+            raise _no_conflict(contrary.path_id)
         sets.append((contrary.path_id, frozenset(members)))
     return HittingSetInstance(universe=universe, sets=tuple(sets))
+
+
+def _contrary_family(
+    tree: DecisionTree, universe: tuple[Literal, ...], target: int
+) -> tuple[dict[int, str], int]:
+    """The distinct inclusion-minimal conflict sets of the contrary leaves,
+    as int bitmasks over ``universe`` mapped to the leaves' path ids, and
+    the number of nodes entered.
+
+    A depth-first search from the root, edges in declaration order,
+    carries the mask of candidates that the edges on the way down leave
+    no value of.  A candidate's remaining values are narrowed on descent
+    and restored on backtrack; its bit is set when none remain, and
+    features outside the universe are never narrowed.  Masks only grow
+    downwards, so a subtree whose mask already contains a member is
+    skipped.  Each node is entered at most once.
+    """
+    position = {lit.feature: (1 << i, lit.allowed) for i, lit in enumerate(universe)}
+    nodes = tree.nodes
+    running: dict[int, frozenset[int]] = {}
+    family: dict[int, str] = {}
+    entered = 0
+    # (child, mask, feature, values): enter child with running[feature] =
+    # values (feature None: no narrowing); child None restores
+    # running[feature] to values (None: the candidate's whole set again)
+    stack: list[tuple] = [(tree.root, 0, None, None)]
+    while stack:
+        node_id, mask, feature, values = stack.pop()
+        if node_id is None:
+            if values is None:
+                del running[feature]
+            else:
+                running[feature] = values
+            continue
+        if mask:  # skip if the mask contains a member; faster than any()
+            for member in family:
+                if member & mask == member:
+                    break
+            else:
+                member = 0
+            if member:
+                continue
+        entered += 1
+        node = nodes[node_id]
+        if isinstance(node, Leaf):
+            if node.class_id != target:
+                path_id = tree._path_by_leaf[node_id].path_id
+                if not mask:
+                    raise _no_conflict(path_id)
+                family = {m: pid for m, pid in family.items() if m & mask != mask}
+                family[mask] = path_id
+            continue
+        if feature is not None:
+            stack.append((None, 0, feature, running.get(feature)))
+            running[feature] = values
+        f = node.feature
+        bit, allowed = position.get(f, (0, None))
+        if not bit or mask & bit:
+            for edge in reversed(node.edges):
+                stack.append((edge.child, mask, None, None))
+            continue
+        entry = running.get(f, allowed)
+        for edge in reversed(node.edges):
+            step = edge.values & entry
+            if not step:
+                stack.append((edge.child, mask | bit, None, None))
+            elif len(step) == len(entry):
+                stack.append((edge.child, mask, None, None))
+            else:
+                stack.append((edge.child, mask, f, step))
+    return family, entered
 
 
 def _minimal_hitting_masks(family: list[int]) -> list[int]:
@@ -166,6 +252,27 @@ def enumerate_mhs(
     return [frozenset(instance.universe[i] for i in s) for s in found[:limit]]
 
 
+def _enumerate(
+    tree: DecisionTree,
+    source: TreePath | Instance,
+    mode: str,
+    limit: int | None,
+) -> tuple[list[Explanation], int]:
+    """:func:`enumerate_pi_explanations` and the number of tree nodes the
+    family search entered."""
+    universe, target, tag = _candidates(tree, source, mode)
+    family, entered = _contrary_family(tree, universe, target)
+    sets = tuple(
+        (path_id, frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
+        for mask, path_id in family.items()
+    )
+    found = enumerate_mhs(HittingSetInstance(universe, sets), limit)
+    return [
+        Explanation(literals=lits, target=target, mode=mode, source=tag)
+        for lits in found
+    ], entered
+
+
 def enumerate_pi_explanations(
     tree: DecisionTree,
     source: TreePath | Instance,
@@ -173,15 +280,11 @@ def enumerate_pi_explanations(
     limit: int | None = None,
 ) -> list[Explanation]:
     """All PI-explanations drawn from a path's literals or an instance's
-    equality literals, in deterministic order."""
-    hs = build_hitting_sets(tree, source, mode)
-    if isinstance(source, TreePath):
-        target = source.prediction
-        tag: str | tuple = source.path_id
-    else:
-        target, _ = classify(tree, source)
-        tag = tuple(source)
-    return [
-        Explanation(literals=lits, target=target, mode=mode, source=tag)
-        for lits in enumerate_mhs(hs, limit)
-    ]
+    equality literals, in deterministic order.
+
+    The source is classified once; the minimal hitting sets are searched
+    over the inclusion-minimal conflict sets of the contrary leaves, which
+    one pruned search of the tree finds without listing every contrary
+    path.
+    """
+    return _enumerate(tree, source, mode, limit)[0]

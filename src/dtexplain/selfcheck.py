@@ -4,14 +4,16 @@ One call audits a whole tree: every path's redundancy verdict, extraction
 and enumeration are compared with exhaustive ground truth, and a batch of
 random instances does the same for instance-level queries.  Any
 discrepancy raises :class:`OracleMismatch`; the checks also enforce the
-node-visit bound of the redundancy decision and the minimality and
-containment guarantees of every explanation seen.
+node-visit bounds of the redundancy decision and of the enumeration's
+family search, and the minimality and containment guarantees of every
+explanation seen.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .explain import (
     PATH_RESTRICTED,
@@ -21,7 +23,7 @@ from .explain import (
     one_pi_explanation_instance,
     one_pi_explanation_path,
 )
-from .hitting import enumerate_pi_explanations
+from .hitting import _enumerate
 from .model import DecisionTree, Literal, classify, instance_literals
 from .oracle import BruteForceOracle, OracleBudget
 from .randtree import random_instance
@@ -56,18 +58,31 @@ def _explanation_sets(explanations) -> set[frozenset[Literal]]:
     return {e.literals for e in explanations}
 
 
-def _check_minimal(tree, literals, target, label: str) -> None:
+def _enumerated(tree, source, mode: str, label: str) -> set[frozenset[Literal]]:
+    """The PI-explanation sets of a source, after checking that the
+    family search entered each tree node at most once."""
+    explanations, entered = _enumerate(tree, source, mode, None)
     _require(
-        entails(tree, literals, target),
+        entered <= tree.node_count,
         label,
-        "claimed explanation does not entail the prediction",
+        f"family search entered {entered} nodes, bound is {tree.node_count}",
     )
+    return _explanation_sets(explanations)
+
+
+def _check_minimal(entails_fn, literals, target, label: str | None = None) -> None:
+    """Raise :class:`OracleMismatch` unless ``literals`` entail ``target``
+    under ``entails_fn(literals, target)`` and no literal can be dropped;
+    ``label``, if given, prefixes the message."""
+    where = f"{label}: " if label else ""
+    if not entails_fn(literals, target):
+        raise OracleMismatch(f"{where}explanation does not entail the prediction")
     for lit in literals:
-        _require(
-            not entails(tree, literals - {lit}, target),
-            label,
-            f"explanation stays entailing without {lit.render(tree.space)}",
-        )
+        if entails_fn(literals - {lit}, target):
+            raise OracleMismatch(
+                f"{where}explanation is not subset-minimal "
+                f"(droppable literal on feature index {lit.feature})"
+            )
 
 
 def check_tree(
@@ -79,6 +94,7 @@ def check_tree(
 ) -> CheckStats:
     """Compare every fast operation on ``tree`` with the oracle."""
     oracle = BruteForceOracle(tree, budget or OracleBudget())
+    fast_entails = partial(entails, tree)
     stats = CheckStats(trees=1)
 
     restricted_by_leaf: dict[str, set[frozenset[Literal]]] = {}
@@ -118,15 +134,13 @@ def check_tree(
             where,
             "extracted path explanation is not a PI-explanation",
         )
-        fast = _explanation_sets(
-            enumerate_pi_explanations(tree, path, PATH_RESTRICTED)
-        )
+        fast = _enumerated(tree, path, PATH_RESTRICTED, where)
         _require(
             fast == truth,
             where,
             f"restricted enumeration found {len(fast)} sets, oracle {len(truth)}",
         )
-        _check_minimal(tree, extracted.literals, path.prediction, where)
+        _check_minimal(fast_entails, extracted.literals, path.prediction, where)
         restricted_by_leaf[path.leaf_id] = fast
         stats.paths += 1
 
@@ -154,9 +168,7 @@ def check_tree(
             where,
             "extracted instance explanation is not a PI-explanation",
         )
-        fast = _explanation_sets(
-            enumerate_pi_explanations(tree, point, PATH_UNRESTRICTED)
-        )
+        fast = _enumerated(tree, point, PATH_UNRESTRICTED, where)
         _require(
             fast == truth,
             where,
@@ -172,6 +184,6 @@ def check_tree(
                 "a path-restricted explanation is missing from the "
                 "unrestricted ones",
             )
-        _check_minimal(tree, extracted.literals, target, where)
+        _check_minimal(fast_entails, extracted.literals, target, where)
         stats.instances += 1
     return stats

@@ -13,7 +13,7 @@ from conftest import fixture_path, load_tree
 import dtexplain
 from dtexplain import Literal, bf_entails
 from dtexplain.cli import run
-from dtexplain.explain import RedundancyResult
+from dtexplain.explain import Explanation, RedundancyResult
 
 
 def invoke(capsys, *argv):
@@ -339,6 +339,30 @@ def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
     )
     assert code == 3
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize("keep", ["all", "none"])
+def test_verify_detects_a_lying_extractor(capsys, monkeypatch, keep):
+    def lie(tree, path):
+        literals = path.literal_set() if keep == "all" else frozenset()
+        return Explanation(literals, path.prediction)
+
+    monkeypatch.setattr("dtexplain.cli.one_pi_explanation_path", lie)
+    tree = load_tree("play_tennis")
+    code, out, err = invoke(
+        capsys, "explain", "-t", fixture_path("play_tennis"), "--path", "P1", "--verify"
+    )
+    assert code == 3 and out == ""
+    if keep == "all":  # {Humidity=high, Outlook=overcast}: Humidity is droppable
+        index = tree.space.feature_by_name("Humidity").index
+        assert err == (
+            "dtexplain: oracle mismatch: explanation is not subset-minimal "
+            f"(droppable literal on feature index {index})\n"
+        )
+    else:
+        assert err == (
+            "dtexplain: oracle mismatch: explanation does not entail the prediction\n"
+        )
 
 
 def test_verify_budget_exceeded(capsys, tmp_path):

@@ -281,3 +281,24 @@ def test_deep_chain_enumerate_instance_through_cli(or_chain, capsys):
     # each class-1 leaf conflicts with its own x_k=0 only, so the one
     # minimal hitting set holds every literal
     assert out == "{" + ", ".join(f"x{k}=0" for k in range(1, CHAIN_DEPTH + 1)) + "}\n"
+
+
+def test_deep_chain_enumerate_deepest_path_through_cli(or_chain, capsys):
+    path, tree = or_chain
+    deepest = max(tree.paths, key=lambda p: p.depth)
+    assert deepest.depth == CHAIN_DEPTH
+    code = run(["enumerate", "-t", path, "--path", deepest.path_id])
+    out = capsys.readouterr().out
+    assert code == 0
+    # each class-1 leaf conflicts with x_k=0 only, so every literal is needed
+    assert out == "{" + ", ".join(f"x{k}=0" for k in range(1, CHAIN_DEPTH + 1)) + "}\n"
+
+
+def test_deep_chain_enumerate_shallowest_path_through_cli(or_chain, capsys):
+    path, tree = or_chain
+    shallowest = min(tree.paths_for_class(1), key=lambda p: p.depth)
+    code = run(["enumerate", "-t", path, "--path", shallowest.path_id])
+    out = capsys.readouterr().out
+    assert code == 0
+    # the only contrary leaf lies 1100 tests down, behind x1=0
+    assert out == "{x1=1}\n"

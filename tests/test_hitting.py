@@ -1,5 +1,6 @@
 """Hitting-set construction and minimal-hitting-set enumeration."""
 
+import dataclasses
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from dtexplain import (
     parse_tree,
     random_tree,
 )
+from dtexplain.hitting import _candidates, _contrary_family
 
 
 # -- construction -------------------------------------------------------------
@@ -89,6 +91,22 @@ def test_mode_source_mismatch_rejected():
         build_hitting_sets(tree, tree.path("P2"), PATH_UNRESTRICTED)
     with pytest.raises(HittingSetError):
         build_hitting_sets(tree, tree.path("P2"), "all-of-them")
+
+
+def test_source_conflicting_with_no_contrary_leaf_rejected():
+    # P2 relabelled to class 0: its own leaf becomes a contrary leaf that
+    # every candidate literal is consistent with
+    tree = load_tree("or_of_ands")
+    path = tree.path("P2")
+    relabelled = dataclasses.replace(path, prediction=0)
+    with pytest.raises(HittingSetError) as built:
+        build_hitting_sets(tree, relabelled, PATH_RESTRICTED)
+    with pytest.raises(HittingSetError) as enumerated:
+        enumerate_pi_explanations(tree, relabelled, PATH_RESTRICTED)
+    assert str(enumerated.value) == str(built.value)
+    assert "'P2' conflicts with no candidate literal" in str(built.value)
+    with pytest.raises(HittingSetError):
+        _contrary_family(tree, path.literals, 0)
 
 
 def test_empty_member_set_rejected():
@@ -293,9 +311,8 @@ def test_one_explanation_is_member_of_enumeration(name):
         assert one.literals in everything
 
 
-def test_layers_agree_beyond_the_oracle_budget():
-    """Metamorphic checks on trees whose feature space the brute-force
-    oracle refuses: the layers must agree with one another."""
+def oversized_trees():
+    """Six random trees whose feature space the brute-force oracle refuses."""
     budget = OracleBudget().max_points
     trees = (
         random_tree(seed, max_features=12, max_domain=5, max_depth=6)
@@ -303,7 +320,13 @@ def test_layers_agree_beyond_the_oracle_budget():
     )
     oversized = [t for t in trees if t.space.point_count() > budget][:6]
     assert len(oversized) == 6
-    for tree in oversized:
+    return oversized
+
+
+def test_layers_agree_beyond_the_oracle_budget():
+    """Metamorphic checks on trees whose feature space the brute-force
+    oracle refuses: the layers must agree with one another."""
+    for tree in oversized_trees():
         for path in tree.paths:
             assert entails(tree, path.literals, path.prediction)
             verdict = is_path_redundant(tree, path)
@@ -318,3 +341,44 @@ def test_layers_agree_beyond_the_oracle_budget():
                 assert entails(tree, found, path.prediction)
                 for lit in found:
                     assert not entails(tree, found - {lit}, path.prediction)
+
+
+# -- the pruned family search ---------------------------------------------------
+
+
+def index_mask(members):
+    return sum(1 << i for i in members)
+
+
+def assert_family_matches_build(tree, source, mode):
+    """The search's family is the distinct inclusion-minimal members of
+    the per-contrary-path build, and it enters each node at most once."""
+    universe, target, _ = _candidates(tree, source, mode)
+    family, entered = _contrary_family(tree, universe, target)
+    built = build_hitting_sets(tree, source, mode)
+    assert built.universe == universe
+    assert set(family) == {index_mask(m) for m in minimal_members(built)}
+    assert entered <= tree.node_count
+    # each member is tagged with a contrary path whose conflict set it is
+    assert {(pid, mask) for mask, pid in family.items()} <= {
+        (pid, index_mask(m)) for pid, m in built.sets
+    }
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [pytest.param(load_tree(name), id=name) for name in FIXTURE_NAMES]
+    + [pytest.param(random_tree(seed), id=f"random_tree-{seed}") for seed in range(6)]
+    + [
+        pytest.param(tree, id=f"oversized-{i}")
+        for i, tree in enumerate(oversized_trees())
+    ],
+)
+def test_family_search_matches_the_per_path_build(tree):
+    for path in tree.paths:
+        assert_family_matches_build(tree, path, PATH_RESTRICTED)
+    rng = random.Random(7)
+    points = list(itertools.islice(tree.space.points(), 64))
+    points += [tuple(rng.randrange(len(f.domain)) for f in tree.space) for _ in range(64)]
+    for point in points:
+        assert_family_matches_build(tree, point, PATH_UNRESTRICTED)
