@@ -38,7 +38,6 @@ from .model import (
     UnsupportedLiteralError,
     classify,
     instance_literals,
-    literals_consistent,
     make_instance,
     parse_instance_json,
     parse_tree,
@@ -68,9 +67,6 @@ from .oracle import (
     BruteForceOracle,
     BudgetExceededError,
     OracleBudget,
-    bf_entails,
-    bf_enumerate_pi,
-    bf_is_redundant,
 )
 from .report import (
     PathDetail,

@@ -12,11 +12,11 @@ narrows a feature's allowed set when it descends an edge and undoes the
 narrowing on backtrack; a feature without an entry is universal.  Being
 iterative, it is not limited by the interpreter's recursion depth.
 
-The per-path redundancy decision works node-locally: path nodes are
-analyzed in reverse (deepest first), and for each one only the subtrees
-hanging off the node's untaken edges are searched.  Those subtrees are
-pairwise disjoint across all path nodes, so the whole decision examines
-each tree node at most once, which is the node-visit bound.
+The per-path redundancy decision works node-locally: it follows the
+leaf's parent chain up to the root (``TreePath.tests``), and at each node
+searches only the subtrees hanging off the untaken edges.  Those subtrees
+are pairwise disjoint across all path nodes, so the whole decision
+examines each tree node at most once, which is the node-visit bound.
 
 Extraction of one PI-explanation is greedy: each candidate feature in turn
 is dropped when, with every previously dropped feature still universal, a
@@ -153,25 +153,6 @@ def entails(tree: DecisionTree, literals: Iterable[Literal], class_id: int) -> b
     return not _contrary_leaf(tree, tree.root, class_id, allowed)[0]
 
 
-def _above_intersections(
-    tree: DecisionTree, path: TreePath
-) -> list[frozenset[int] | None]:
-    """Per node, the intersection of the edge sets taken at strictly
-    shallower tests of the same feature (None when there are none)."""
-    running: dict[int, frozenset[int]] = {}
-    out: list[frozenset[int] | None] = []
-    for node_id, feat, taken in zip(
-        path.node_ids, path.node_features, path.node_edge_index
-    ):
-        values = tree.nodes[node_id].edges[taken].values
-        out.append(running.get(feat))
-        if feat in running:
-            running[feat] &= values
-        else:
-            running[feat] = values
-    return out
-
-
 def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
     """Decide whether a path's literal set strictly contains a
     PI-explanation; linear in the tree size.
@@ -180,27 +161,22 @@ def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
     with the rest of the path fixed and the feature free below each of its
     nodes, no untaken edge of any of its nodes opens a consistent contrary
     sub-path; the witness is the first feature whose nodes have all been
-    examined that way.
+    examined that way, which happens at its shallowest test.
     """
     tree.check_owns(path)
     visits = 0
     base = path.literal_map
     allowed = dict(base)
-    above = _above_intersections(tree, path)
-    remaining = {f: path.node_features.count(f) for f in base}
     failed: set[int] = set()
-    for position in range(len(path.node_ids) - 1, -1, -1):
-        feature = path.node_features[position]
+    for node_id, child_id, above in path.tests():
+        node = tree.nodes[node_id]
+        feature = node.feature
         visits += 1
-        remaining[feature] -= 1
         if feature in failed:
             continue
-        node = tree.nodes[path.node_ids[position]]
-        taken = path.node_edge_index[position]
-        entry = above[position]
-        for i, edge in enumerate(node.edges):
-            step = edge.values if entry is None else edge.values & entry
-            if i == taken or not step:
+        for edge in node.edges:
+            step = edge.values if above is None else edge.values & above
+            if edge.child == child_id or not step:
                 continue
             allowed[feature] = step
             found, examined = _contrary_leaf(tree, edge.child, path.prediction, allowed)
@@ -209,7 +185,7 @@ def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
                 failed.add(feature)
                 break
         allowed[feature] = base[feature]
-        if feature not in failed and remaining[feature] == 0:
+        if feature not in failed and above is None:
             return RedundancyResult(True, feature, visits)
     return RedundancyResult(False, None, visits)
 
@@ -238,7 +214,7 @@ def one_pi_explanation_path(tree: DecisionTree, path: TreePath) -> Explanation:
     subset-minimal.
     """
     tree.check_owns(path)
-    order = dict.fromkeys(reversed(path.node_features))
+    order = dict.fromkeys(tree.nodes[node_id].feature for node_id, _, _ in path.tests())
     return Explanation(
         literals=_greedy(tree, path.literal_map, order, path.prediction),
         target=path.prediction,

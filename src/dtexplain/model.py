@@ -17,8 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "Feature",
@@ -35,7 +36,6 @@ __all__ = [
     "parse_tree_file",
     "serialize_tree",
     "classify",
-    "literals_consistent",
     "instance_literals",
     "path_point_count",
     "make_instance",
@@ -280,10 +280,7 @@ class Literal:
         return f"{feat.name} in {{{','.join(names)}}}"
 
 
-def literals_consistent(a: Literal, b: Literal) -> bool:
-    """Two literals conflict only when they pin the same feature to
-    disjoint value sets."""
-    return a.feature != b.feature or bool(a.allowed & b.allowed)
+_feature_of = operator.attrgetter("feature")
 
 
 def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ...]:
@@ -318,27 +315,32 @@ Node = Split | Leaf
 class TreePath:
     """A root-to-leaf path with its aggregated literal set.
 
-    ``node_ids``/``node_features``/``node_edge_index`` record the internal
-    nodes in root-first order together with the feature tested and the
-    index of the edge taken at each (its value set is
-    ``tree.nodes[node_id].edges[index].values``); a repeatedly tested
-    feature therefore keeps one record per node while ``literals`` holds
-    the single aggregated literal, in order of first test.  Paths below a
-    common node share their ``Literal`` objects.
+    ``literals`` holds one aggregated literal per tested feature, in order
+    of first test; paths below a common node share their ``Literal``
+    objects.  ``depth`` counts the internal nodes on the path.  The nodes
+    themselves are not stored: :meth:`tests` reads them off the tree.
     """
 
     tree: "DecisionTree" = field(repr=False)
     path_id: str
-    node_ids: tuple[str, ...]
-    node_features: tuple[int, ...]
-    node_edge_index: tuple[int, ...]
     leaf_id: str
     prediction: int
     literals: tuple[Literal, ...]
+    depth: int
 
-    @property
-    def depth(self) -> int:
-        return len(self.node_ids)
+    def tests(self) -> Iterator[tuple[str, str, frozenset[int] | None]]:
+        """The path's internal nodes, deepest first, as ``(node_id,
+        child_id, above)``: the path leaves the node towards ``child_id``,
+        and ``above`` is the node feature's allowed set on entry when a
+        shallower node of the path tests it too (None at its shallowest
+        test)."""
+        tree = self.tree
+        parents, above = tree._parents, tree._above
+        child = self.leaf_id
+        while child != tree.root:
+            node_id = parents[child]
+            yield node_id, child, above.get(node_id)
+            child = node_id
 
     @property
     def literal_map(self) -> dict[int, frozenset[int]]:
@@ -378,7 +380,9 @@ class DecisionTree:
             raise TreeSchemaError("duplicate class name")
         self.root = root
         self.nodes: dict[str, Node] = dict(nodes)
-        self._paths = self._build_paths(self._validate_nodes())
+        self._parents = self._validate_nodes()
+        self._above: dict[str, frozenset[int]] = {}
+        self._paths = self._build_paths()
         self._path_by_id = {p.path_id: p for p in self._paths}
         self._path_by_leaf = {p.leaf_id: p for p in self._paths}
 
@@ -440,9 +444,10 @@ class DecisionTree:
             raise NotATreeError(clash)
         return parents
 
-    def _reject_unreached(self, parents: dict[str, str], empty: tuple | None) -> None:
+    def _reject_unreached(self, empty: tuple | None) -> None:
         """Raise a cycle, else a parentless node, else the empty edge.  With
         one parent per node, each parent chain is walked once."""
+        parents = self._parents
         done: set[str] = set()
         for start in self.nodes:
             chain: set[str] = set()
@@ -464,30 +469,32 @@ class DecisionTree:
 
     # -- path enumeration --------------------------------------------------
 
-    def _build_paths(self, parents: dict[str, str]) -> tuple[TreePath, ...]:
+    def _build_paths(self) -> tuple[TreePath, ...]:
         """One depth-first pass from the root, edges in declaration order.
         A child's literals are its parent's plus one, or with the re-tested
-        feature's literal narrowed, so paths below a node share them; an
-        edge narrowed to no value is not entered."""
+        feature's literal narrowed, so paths below a node share them; a
+        re-testing node records the feature's allowed set on entry in
+        ``_above``.  An edge narrowed to no value is not entered."""
         counters = [0] * len(self.classes)
         paths = []
         reached = 0
         empty = None
-        stack: list[tuple] = [(self.root, (), (), (), ())]
+        stack: list[tuple] = [(self.root, (), 0)]
         while stack:
-            node_id, ids, feats, eidx, lits = stack.pop()
+            node_id, lits, depth = stack.pop()
             reached += 1
             node = self.nodes[node_id]
             if isinstance(node, Leaf):
                 c = node.class_id
                 counters[c] += 1
                 pid = self._path_prefix(c) + str(counters[c])
-                paths.append(TreePath(self, pid, ids, feats, eidx, node_id, c, lits))
+                paths.append(TreePath(self, pid, node_id, c, lits, depth))
                 continue
             f = node.feature
-            k = [lit.feature for lit in lits].index(f) if f in feats else None
-            ids += (node_id,)
-            feats += (f,)
+            feats = tuple(map(_feature_of, lits))
+            k = feats.index(f) if f in feats else None
+            if k is not None:
+                self._above[node_id] = lits[k].allowed
             # push in reverse so edges pop in declaration order
             for i in range(len(node.edges) - 1, -1, -1):
                 edge = node.edges[i]
@@ -499,9 +506,9 @@ class DecisionTree:
                         empty = empty or (node_id, i, f)
                         continue
                     child_lits = lits[:k] + (Literal(f, narrowed),) + lits[k + 1 :]
-                stack.append((edge.child, ids, feats, eidx + (i,), child_lits))
+                stack.append((edge.child, child_lits, depth + 1))
         if empty is not None or reached < len(self.nodes):
-            self._reject_unreached(parents, empty)
+            self._reject_unreached(empty)
         return tuple(paths)
 
     def _path_prefix(self, class_id: int) -> str:
@@ -534,9 +541,6 @@ class DecisionTree:
             return self._path_by_id[path_id]
         except KeyError:
             raise PathMismatchError(f"no path named {path_id!r}") from None
-
-    def paths_for_class(self, class_id: int) -> tuple[TreePath, ...]:
-        return tuple(p for p in self._paths if p.prediction == class_id)
 
     def contrary_paths(self, class_id: int) -> tuple[TreePath, ...]:
         """Paths predicting any class other than ``class_id``."""

@@ -19,9 +19,6 @@ __all__ = [
     "OracleBudget",
     "BudgetExceededError",
     "BruteForceOracle",
-    "bf_entails",
-    "bf_enumerate_pi",
-    "bf_is_redundant",
 ]
 
 
@@ -141,28 +138,3 @@ class BruteForceOracle:
                 return True
         return False
 
-
-def bf_entails(
-    tree: DecisionTree,
-    literals: Iterable[Literal],
-    class_id: int,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> bool:
-    return BruteForceOracle(tree, budget).entails(literals, class_id)
-
-
-def bf_enumerate_pi(
-    tree: DecisionTree,
-    universe: Sequence[Literal],
-    class_id: int,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> list[Explanation]:
-    return BruteForceOracle(tree, budget).enumerate_pi(universe, class_id)
-
-
-def bf_is_redundant(
-    tree: DecisionTree,
-    path: TreePath,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> bool:
-    return BruteForceOracle(tree, budget).is_redundant(path)

@@ -15,11 +15,11 @@ from fractions import Fraction
 from conftest import fixture_path, literal_names, load_tree
 
 from dtexplain import (
+    BruteForceOracle,
     CheckStats,
     Literal,
     PATH_RESTRICTED,
     PATH_UNRESTRICTED,
-    bf_entails,
     build_hitting_sets,
     check_tree,
     enumerate_mhs,
@@ -225,11 +225,11 @@ def test_criterion_5_minimality_and_containment():
     for tree, explanation, universe in EMITTED:
         assert explanation.literals <= universe
         assert entails(tree, explanation.literals, explanation.target)
-        assert bf_entails(tree, explanation.literals, explanation.target)
+        assert BruteForceOracle(tree).entails(explanation.literals, explanation.target)
         for lit in explanation.literals:
             rest = explanation.literals - {lit}
             assert not entails(tree, rest, explanation.target)
-            assert not bf_entails(tree, rest, explanation.target)
+            assert not BruteForceOracle(tree).entails(rest, explanation.target)
     # instance-level extraction obeys containment in the instance literals
     for name, point in [("or_tree", (0, 1)), ("selector", (1, 1, 1, 1))]:
         tree = load_tree(name)

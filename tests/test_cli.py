@@ -11,7 +11,7 @@ import pytest
 from conftest import fixture_path, load_tree
 
 import dtexplain
-from dtexplain import Literal, bf_entails
+from dtexplain import BruteForceOracle, Literal
 from dtexplain.cli import run
 from dtexplain.explain import Explanation, RedundancyResult
 
@@ -142,9 +142,10 @@ def test_explain_output_feeds_back_through_the_oracle(capsys):
         for name, value in mapping.items()
     )
     target = tree.class_id("1")
-    assert bf_entails(tree, literals, target)
+    oracle = BruteForceOracle(tree)
+    assert oracle.entails(literals, target)
     for lit in literals:
-        assert not bf_entails(tree, literals - {lit}, target)
+        assert not oracle.entails(literals - {lit}, target)
 
 
 # -- enumerate ---------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Redundancy decision, extraction, entailment."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from conftest import FIXTURE_NAMES, literal_names, load_tree
 
 from dtexplain import (
+    BruteForceOracle,
     Literal,
     PathMismatchError,
     RedundancyResult,
-    bf_entails,
-    bf_is_redundant,
     classify,
     entails,
     is_path_redundant,
@@ -92,7 +92,7 @@ def test_repeated_feature_paths_match_oracle():
     tree = load_tree("repeat_feature")
     for path in tree.paths:
         verdict = is_path_redundant(tree, path)
-        assert verdict.redundant == bf_is_redundant(tree, path)
+        assert verdict.redundant == BruteForceOracle(tree).is_redundant(path)
 
 
 def test_path_from_other_tree_rejected():
@@ -108,6 +108,53 @@ def test_visit_bound(name):
     for path in tree.paths:
         verdict = is_path_redundant(tree, path)
         assert verdict.node_visits <= tree.node_count + path.depth
+
+
+# (path id, redundant, witness feature, node visits) for every path
+VERDICTS = {
+    "or_tree": [("Q1", False, None, 4), ("P1", True, "x1", 4), ("P2", False, None, 3)],
+    "or_of_ands": [
+        ("Q1", False, None, 9), ("Q2", True, "x3", 4), ("P1", True, "x1", 10),
+        ("Q3", True, "x1", 9), ("Q4", True, "x3", 4), ("P2", True, "x2", 6),
+        ("P3", False, None, 6),
+    ],
+    "selector": [
+        ("Q1", False, None, 8), ("Q2", True, "x2", 4), ("P1", False, None, 7),
+        ("Q3", False, None, 8), ("P2", False, None, 5),
+    ],
+    "cross_circle": [
+        ("P1", False, None, 4), ("P2", True, "y>0.73", 4), ("Q1", False, None, 4),
+    ],
+    "play_tennis": [
+        ("P1", True, "Humidity", 4), ("Q1", False, None, 4), ("P2", False, None, 4),
+    ],
+    "restaurant": [
+        ("Q1", False, None, 2), ("P1", False, None, 2), ("Q2", False, None, 6),
+        ("P2", False, None, 6), ("Q3", True, "Hungry", 4), ("Q4", True, "Hungry", 6),
+        ("P3", False, None, 9), ("P4", False, None, 7),
+    ],
+    "articles": [
+        ("Q1", False, None, 3), ("P1", False, None, 6), ("P2", True, "Thread", 4),
+        ("Q2", True, "Length", 6),
+    ],
+    "repeat_feature": [
+        ("P1", False, None, 3), ("Q1", False, None, 3), ("Q2", False, None, 3),
+    ],
+    "constant": [("Q1", False, None, 0)],
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_redundancy_verdicts_pinned(name):
+    tree = load_tree(name)
+    got = []
+    for path in tree.paths:
+        verdict = is_path_redundant(tree, path)
+        witness = None
+        if verdict.witness is not None:
+            witness = tree.space.feature(verdict.witness).name
+        got.append((path.path_id, verdict.redundant, witness, verdict.node_visits))
+    assert got == VERDICTS[name]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -181,11 +228,11 @@ def test_extractions_minimal_and_contained(name):
         explanation = one_pi_explanation_path(tree, path)
         assert explanation.literals <= path.literal_set()
         assert entails(tree, explanation.literals, path.prediction)
-        assert bf_entails(tree, explanation.literals, path.prediction)
+        assert BruteForceOracle(tree).entails(explanation.literals, path.prediction)
         for lit in explanation.literals:
             rest = explanation.literals - {lit}
             assert not entails(tree, rest, path.prediction)
-            assert not bf_entails(tree, rest, path.prediction)
+            assert not BruteForceOracle(tree).entails(rest, path.prediction)
 
 
 # -- entailment -------------------------------------------------------------------
@@ -255,6 +302,21 @@ def or_chain(tmp_path_factory):
     return str(path), parse_tree_file(str(path))
 
 
+def test_deep_chain_parse_memory_is_not_quadratic(or_chain):
+    """Paths store their literals but no per-node tuples; their nodes are
+    read off the tree, so the 1100-deep chain retains about 7 MiB."""
+    path, _ = or_chain
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = parse_tree_file(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tree.paths) == CHAIN_DEPTH + 1
+    assert retained < 12 * 2**20
+
+
 def test_deep_chain_explain_instance_through_cli(or_chain, capsys):
     path, _ = or_chain
     code = run(["explain", "-t", path, "-i", json.dumps(["0"] * CHAIN_DEPTH)])
@@ -266,7 +328,7 @@ def test_deep_chain_explain_instance_through_cli(or_chain, capsys):
 
 def test_deep_chain_redundancy_searches_the_whole_chain(or_chain):
     _, tree = or_chain
-    shallowest = min(tree.paths_for_class(1), key=lambda p: p.depth)
+    shallowest = min([p for p in tree.paths if p.prediction == 1], key=lambda p: p.depth)
     assert literal_names(tree, shallowest.literals) == {"x1=1"}
     verdict = is_path_redundant(tree, shallowest)
     # with x1 free, the search descends all 1099 tests below to the class-0 leaf
@@ -296,7 +358,7 @@ def test_deep_chain_enumerate_deepest_path_through_cli(or_chain, capsys):
 
 def test_deep_chain_enumerate_shallowest_path_through_cli(or_chain, capsys):
     path, tree = or_chain
-    shallowest = min(tree.paths_for_class(1), key=lambda p: p.depth)
+    shallowest = min([p for p in tree.paths if p.prediction == 1], key=lambda p: p.depth)
     code = run(["enumerate", "-t", path, "--path", shallowest.path_id])
     out = capsys.readouterr().out
     assert code == 0

@@ -32,7 +32,6 @@ from dtexplain import (
     UnreachableLeafError,
     UnsupportedLiteralError,
     classify,
-    literals_consistent,
     make_instance,
     parse_instance_json,
     parse_tree,
@@ -390,8 +389,10 @@ def test_or_of_ands_path_listing():
         "Q3": {"x1=1", "x2=0", "x3=0"},
         "Q4": {"x1=1", "x2=0", "x3=1", "x4=0"},
     }
-    assert [p.path_id for p in tree.paths_for_class(1)] == ["P1", "P2", "P3"]
-    assert [p.path_id for p in tree.paths_for_class(0)] == ["Q1", "Q2", "Q3", "Q4"]
+    assert [p.path_id for p in tree.paths if p.prediction == 1] == ["P1", "P2", "P3"]
+    assert [p.path_id for p in tree.paths if p.prediction == 0] == [
+        "Q1", "Q2", "Q3", "Q4"
+    ]
     assert [p.path_id for p in tree.contrary_paths(1)] == ["Q1", "Q2", "Q3", "Q4"]
 
 
@@ -399,7 +400,10 @@ def test_repeated_feature_aggregates_by_intersection():
     tree = load_tree("repeat_feature")
     p1 = tree.path("P1")
     assert literal_names(tree, p1.literals) == {"x1=a"}
-    assert p1.node_features == (0, 0)  # two records kept for the one feature
+    # both tests of x1, deepest first; the deeper one is entered with x1
+    # already narrowed to {a, b}
+    assert list(p1.tests()) == [("n1", "t2", frozenset({0, 1})), ("n0", "n1", None)]
+    assert [tree.nodes[n].feature for n, _, _ in p1.tests()] == [0, 0]
     q1 = tree.path("Q1")
     assert literal_names(tree, q1.literals) == {"x1=b"}
 
@@ -424,28 +428,6 @@ def test_pairwise_path_inconsistency(name):
 
 
 # -- literals -----------------------------------------------------------------
-
-
-def test_literals_consistent_examples():
-    eq = lambda f, v: Literal(f, frozenset({v}))
-    assert not literals_consistent(eq(0, 0), eq(0, 1))
-    assert literals_consistent(eq(0, 0), eq(1, 0))
-    assert literals_consistent(Literal(0, frozenset({1, 2})), eq(0, 2))
-
-
-@given(
-    f1=st.integers(0, 3),
-    f2=st.integers(0, 3),
-    a1=st.sets(st.integers(0, 3), min_size=1).map(frozenset),
-    a2=st.sets(st.integers(0, 3), min_size=1).map(frozenset),
-)
-def test_literal_consistency_is_symmetric(f1, f2, a1, a2):
-    x, y = Literal(f1, a1), Literal(f2, a2)
-    assert literals_consistent(x, y) == literals_consistent(y, x)
-    if f1 == f2:
-        assert literals_consistent(x, y) == bool(a1 & a2)
-    else:
-        assert literals_consistent(x, y)
 
 
 def test_literal_needs_values():

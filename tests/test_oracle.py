@@ -5,12 +5,10 @@ import pytest
 from conftest import literal_names, load_tree
 
 from dtexplain import (
+    BruteForceOracle,
     BudgetExceededError,
     Literal,
     OracleBudget,
-    bf_entails,
-    bf_enumerate_pi,
-    bf_is_redundant,
 )
 
 
@@ -23,23 +21,23 @@ def lits(tree, *pairs):
 
 def test_bf_entails_pair():
     tree = load_tree("or_of_ands")
-    assert bf_entails(tree, lits(tree, ("x3", 1), ("x4", 1)), 1)
+    assert BruteForceOracle(tree).entails(lits(tree, ("x3", 1), ("x4", 1)), 1)
 
 
 def test_bf_entails_x1_alone_fails():
     tree = load_tree("or_of_ands")
-    assert not bf_entails(tree, lits(tree, ("x1", 1)), 1)
+    assert not BruteForceOracle(tree).entails(lits(tree, ("x1", 1)), 1)
 
 
 def test_bf_entails_full_paths():
     tree = load_tree("restaurant")
     for path in tree.paths:
-        assert bf_entails(tree, path.literals, path.prediction)
+        assert BruteForceOracle(tree).entails(path.literals, path.prediction)
 
 
 def test_bf_enumerate_pi_p2_universe():
     tree = load_tree("or_of_ands")
-    got = bf_enumerate_pi(tree, tree.path("P2").literals, 1)
+    got = BruteForceOracle(tree).enumerate_pi(tree.path("P2").literals, 1)
     assert [literal_names(tree, e.literals) for e in got] == [
         frozenset({"x3=1", "x4=1"})
     ]
@@ -48,7 +46,8 @@ def test_bf_enumerate_pi_p2_universe():
 def test_bf_enumerate_pi_selector_instance_universe():
     tree = load_tree("selector")
     universe = [Literal(i, frozenset({1})) for i in range(4)]
-    got = {literal_names(tree, e.literals) for e in bf_enumerate_pi(tree, universe, 1)}
+    got = BruteForceOracle(tree).enumerate_pi(universe, 1)
+    got = {literal_names(tree, e.literals) for e in got}
     assert got == {
         frozenset({"x1=1", "x3=1"}),
         frozenset({"x2=1", "x3=1", "x4=1"}),
@@ -58,30 +57,31 @@ def test_bf_enumerate_pi_selector_instance_universe():
 def test_bf_enumerate_pi_unreachable_class():
     tree = load_tree("or_tree")
     universe = lits(tree, ("x1", 0), ("x2", 0))
-    assert bf_enumerate_pi(tree, universe, 1) == []
+    assert BruteForceOracle(tree).enumerate_pi(universe, 1) == []
 
 
 def test_bf_is_redundant_examples():
     or_tree = load_tree("or_tree")
-    assert bf_is_redundant(or_tree, or_tree.path("P1"))
-    assert not bf_is_redundant(or_tree, or_tree.path("P2"))
+    assert BruteForceOracle(or_tree).is_redundant(or_tree.path("P1"))
+    assert not BruteForceOracle(or_tree).is_redundant(or_tree.path("P2"))
     pairs = load_tree("or_of_ands")
-    assert not bf_is_redundant(pairs, pairs.path("P3"))
-    assert bf_is_redundant(pairs, pairs.path("P2"))
+    assert not BruteForceOracle(pairs).is_redundant(pairs.path("P3"))
+    assert BruteForceOracle(pairs).is_redundant(pairs.path("P2"))
 
 
 def test_budget_points_enforced():
     tree = load_tree("or_tree")  # 4 points
     with pytest.raises(BudgetExceededError):
-        bf_entails(tree, [], 1, budget=OracleBudget(max_points=3))
-    assert bf_entails(tree, lits(tree, ("x1", 1)), 1, budget=OracleBudget(max_points=4))
+        BruteForceOracle(tree, OracleBudget(max_points=3)).entails([], 1)
+    oracle = BruteForceOracle(tree, OracleBudget(max_points=4))
+    assert oracle.entails(lits(tree, ("x1", 1)), 1)
 
 
 def test_budget_universe_enforced():
     tree = load_tree("or_of_ands")
     universe = tree.path("P2").literals
     with pytest.raises(BudgetExceededError):
-        bf_enumerate_pi(tree, universe, 1, budget=OracleBudget(max_universe=3))
+        BruteForceOracle(tree, OracleBudget(max_universe=3)).enumerate_pi(universe, 1)
 
 
 def test_budget_caps_positive():
@@ -93,7 +93,7 @@ def test_duplicate_feature_universe_rejected():
     tree = load_tree("or_tree")
     universe = lits(tree, ("x1", 0), ("x1", 1))
     with pytest.raises(ValueError):
-        bf_enumerate_pi(tree, universe, 1)
+        BruteForceOracle(tree).enumerate_pi(universe, 1)
 
 
 @pytest.mark.parametrize(
@@ -106,6 +106,6 @@ def test_redundancy_consistent_with_enumeration(name):
     for path in tree.paths:
         smaller = any(
             e.literals < path.literal_set()
-            for e in bf_enumerate_pi(tree, path.literals, path.prediction)
+            for e in BruteForceOracle(tree).enumerate_pi(path.literals, path.prediction)
         )
-        assert bf_is_redundant(tree, path) == smaller
+        assert BruteForceOracle(tree).is_redundant(path) == smaller
