@@ -2,7 +2,10 @@
 
 Subcommands: ``classify``, ``redundancy``, ``explain``, ``enumerate``,
 ``stats`` and ``selftest``.  Results go to stdout, diagnostics to stderr,
-and output is byte-identical across runs for identical inputs.
+and output is byte-identical across runs for identical inputs.  With
+``--format json``, ``-i`` and ``--path`` print one entry; ``--instances``
+and ``--all`` print a list, even of one row.  ``--verify`` re-derives
+each answer through the oracle checks that :func:`check_tree` uses.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 oracle
 mismatch under ``--verify``, 4 oracle budget exceeded under ``--verify``.
@@ -23,11 +26,10 @@ from .explain import (
     one_pi_explanation_instance,
     one_pi_explanation_path,
 )
-from .hitting import HittingSetError, _candidates, enumerate_pi_explanations
+from .hitting import HittingSetError, enumerate_pi_explanations
 from .model import (
     DecisionTree,
     InconsistentLiteralsError,
-    Instance,
     InstanceError,
     PathMismatchError,
     TreeFormatError,
@@ -36,10 +38,11 @@ from .model import (
     parse_tree_file,
     read_instances_csv,
 )
-from .oracle import BruteForceOracle, BudgetExceededError, OracleBudget
+from .oracle import BruteForceOracle, BudgetExceededError
 from .randtree import random_tree
 from .report import aggregate_means, batch_report, render_table
-from .selfcheck import OracleMismatch, CheckStats, _check_minimal, check_tree
+from .selfcheck import CheckStats, OracleMismatch, check_tree
+from .selfcheck import _check_enumeration, _check_minimal, _check_redundancy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,16 +71,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def add_common(p, tree_many=False):
-        if tree_many:
-            p.add_argument(
-                "-t", "--tree", nargs="+", required=True, metavar="FILE",
-                help="tree file(s) in the JSON tree format",
-            )
-        else:
-            p.add_argument(
-                "-t", "--tree", required=True, metavar="FILE",
-                help="tree file in the JSON tree format",
-            )
+        p.add_argument(
+            "-t", "--tree", nargs="+" if tree_many else None, required=True,
+            metavar="FILE",
+            help=f"tree file{'(s)' if tree_many else ''} in the JSON tree format",
+        )
         p.add_argument(
             "--format", choices=("json", "text"), default="text",
             help="output format (default: text)",
@@ -97,6 +95,15 @@ def build_parser() -> _Parser:
             help="CSV file of instances with a header of feature names",
         )
 
+    def add_sources(p, path_help):
+        p.add_argument("--path", metavar="ID", help=path_help)
+        add_instance_source(p)
+        p.add_argument(
+            "--mode", choices=("restricted", "unrestricted"),
+            help="candidate literals: the tree path's (restricted) or the "
+            "instance's (unrestricted); defaults to the source kind",
+        )
+
     p = sub.add_parser("classify", help="route an instance to its leaf")
     add_common(p)
     add_instance_source(p)
@@ -108,23 +115,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("explain", help="extract one PI-explanation")
     add_common(p)
-    p.add_argument("--path", metavar="ID", help="explain a tree path")
-    add_instance_source(p)
-    p.add_argument(
-        "--mode", choices=("restricted", "unrestricted"),
-        help="candidate literals: the tree path's (restricted) or the "
-        "instance's (unrestricted); defaults to the source kind",
-    )
+    add_sources(p, "explain a tree path")
 
     p = sub.add_parser("enumerate", help="list all PI-explanations")
     add_common(p)
-    p.add_argument("--path", metavar="ID", help="enumerate for a tree path")
-    add_instance_source(p)
-    p.add_argument(
-        "--mode", choices=("restricted", "unrestricted"),
-        help="candidate literals: the tree path's (restricted) or the "
-        "instance's (unrestricted); defaults to the source kind",
-    )
+    add_sources(p, "enumerate for a tree path")
     p.add_argument("--limit", type=int, metavar="N", help="emit at most N sets")
 
     p = sub.add_parser("stats", help="redundancy statistics per tree")
@@ -142,68 +137,81 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload, fmt: str, render_text) -> None:
-    if fmt == "json":
+def _sources(tree: DecisionTree, args) -> tuple[list[tuple[str, object]], bool]:
+    """The (mode, source) pairs named by --path/--all, -i/--instances and
+    --mode, and whether the flags name a single source: -i and --path do,
+    --instances and --all (or neither, for ``redundancy``) name a list."""
+    flags = vars(args)
+    path_id, mode = flags.get("path"), flags.get("mode")
+    instance, rows = flags.get("instance"), flags.get("instances")
+    if path_id and flags.get("all"):
+        raise UsageError("use either --path or --all, not both")
+    if path_id and (instance or rows):
+        raise UsageError("use either --path or an instance source, not both")
+    if path_id:
+        if mode == "unrestricted":
+            raise UsageError("unrestricted mode needs an instance source, not --path")
+        return [(PATH_RESTRICTED, tree.path(path_id))], True
+    if "all" in flags:  # redundancy: every path unless --path
+        return [(PATH_RESTRICTED, path) for path in tree.paths], False
+    if instance is not None and rows is not None:
+        raise UsageError("use either --instance or --instances, not both")
+    if instance is not None:
+        points = [parse_instance_json(tree.space, instance)]
+    elif rows is not None:
+        points = read_instances_csv(tree.space, rows)
+        if not points:
+            raise InstanceError(f"{rows}: no instance rows")
+    else:
+        raise UsageError("an instance source is required (--instance or --instances)")
+    single = instance is not None
+    if mode == "restricted":
+        return [(PATH_RESTRICTED, classify(tree, p)[1]) for p in points], single
+    return [(PATH_UNRESTRICTED, p) for p in points], single
+
+
+def _print(args, single: bool, results: list, entry, lines) -> int:
+    """Write one JSON ``entry`` per result, unwrapped for a single source,
+    or every result's text ``lines``."""
+    if args.format == "json":
+        entries = [entry(r) for r in results]
+        payload = entries[0] if single else entries
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        sys.stdout.write(render_text())
-
-
-def _load_instances(tree: DecisionTree, args) -> list[Instance]:
-    if args.instance is not None and args.instances is not None:
-        raise UsageError("use either --instance or --instances, not both")
-    if args.instance is not None:
-        return [parse_instance_json(tree.space, args.instance)]
-    if args.instances is not None:
-        rows = read_instances_csv(tree.space, args.instances)
-        if not rows:
-            raise InstanceError(f"{args.instances}: no instance rows")
-        return rows
-    raise UsageError("an instance source is required (--instance or --instances)")
-
-
-def _oracle(tree: DecisionTree) -> BruteForceOracle:
-    return BruteForceOracle(tree, OracleBudget())
+        sys.stdout.write("\n".join(line for r in results for line in lines(r)) + "\n")
+    return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     tree = parse_tree_file(args.tree)
-    oracle = _oracle(tree) if args.verify else None
-    results = []
-    for point in _load_instances(tree, args):
+    sources, single = _sources(tree, args)
+    oracle = BruteForceOracle(tree) if args.verify else None
+    rows = []
+    for _, point in sources:
         class_id, path = classify(tree, point)
         if oracle is not None and not oracle.entails(path.literals, class_id):
             raise OracleMismatch("path literals do not entail the class")
-        results.append(
+        rows.append(
             {
                 "class": tree.classes[class_id],
                 "path": path.path_id,
                 "literals": Explanation(path.literal_set(), class_id).as_value_map(tree),
             }
         )
-    payload = results[0] if args.instance is not None else results
-
-    def text() -> str:
-        lines = [f"class: {r['class']}  (path {r['path']})" for r in results]
-        return "\n".join(lines) + "\n"
-
-    _emit(payload, args.format, text)
-    return EXIT_OK
+    return _print(
+        args, single, rows, dict, lambda r: [f"class: {r['class']}  (path {r['path']})"]
+    )
 
 
 def _cmd_redundancy(args) -> int:
     tree = parse_tree_file(args.tree)
-    if args.path and args.all:
-        raise UsageError("use either --path or --all, not both")
-    paths = [tree.path(args.path)] if args.path else list(tree.paths)
-    oracle = _oracle(tree) if args.verify else None
+    sources, single = _sources(tree, args)
+    oracle = BruteForceOracle(tree) if args.verify else None
     rows = []
-    for path in paths:
+    for _, path in sources:
         verdict = is_path_redundant(tree, path)
-        if oracle is not None and oracle.is_redundant(path) != verdict.redundant:
-            raise OracleMismatch(
-                f"redundancy of {path.path_id} disagrees with the oracle"
-            )
+        if oracle is not None:
+            _check_redundancy(oracle, path, verdict.redundant, path.path_id)
         witness = (
             tree.space.feature(verdict.witness).name
             if verdict.witness is not None
@@ -218,48 +226,19 @@ def _cmd_redundancy(args) -> int:
                 "node_visits": verdict.node_visits,
             }
         )
-    payload = rows[0] if args.path else rows
 
-    def text() -> str:
-        lines = []
-        for r in rows:
-            if r["redundant"]:
-                lines.append(f"{r['path']}: redundant (witness: {r['witness']})")
-            else:
-                lines.append(f"{r['path']}: irredundant")
-        return "\n".join(lines) + "\n"
+    def text(r) -> list[str]:
+        if r["redundant"]:
+            return [f"{r['path']}: redundant (witness: {r['witness']})"]
+        return [f"{r['path']}: irredundant"]
 
-    _emit(payload, args.format, text)
-    return EXIT_OK
-
-
-def _resolve_source(tree: DecisionTree, args) -> list[tuple[str, object]]:
-    """Yield (mode, source) pairs from --path / instance flags."""
-    if args.path and (args.instance or args.instances):
-        raise UsageError("use either --path or an instance source, not both")
-    if args.path:
-        mode = args.mode or "restricted"
-        if mode == "unrestricted":
-            raise UsageError(
-                "unrestricted mode needs an instance source, not --path"
-            )
-        return [(PATH_RESTRICTED, tree.path(args.path))]
-    points = _load_instances(tree, args)
-    mode = args.mode or "unrestricted"
-    out = []
-    for point in points:
-        if mode == "restricted":
-            _, path = classify(tree, point)
-            out.append((PATH_RESTRICTED, path))
-        else:
-            out.append((PATH_UNRESTRICTED, point))
-    return out
+    return _print(args, single, rows, dict, text)
 
 
 def _cmd_explain(args) -> int:
     tree = parse_tree_file(args.tree)
-    sources = _resolve_source(tree, args)
-    oracle = _oracle(tree) if args.verify else None
+    sources, single = _sources(tree, args)
+    oracle = BruteForceOracle(tree) if args.verify else None
     results = []
     for mode, source in sources:
         if mode == PATH_RESTRICTED:
@@ -269,85 +248,55 @@ def _cmd_explain(args) -> int:
         if oracle is not None:
             _check_minimal(oracle.entails, explanation.literals, explanation.target)
         results.append(explanation)
-    single = len(results) == 1
-    payload = (
-        results[0].as_value_map(tree)
-        if single
-        else [e.as_value_map(tree) for e in results]
+    return _print(
+        args, single, results,
+        lambda e: e.as_value_map(tree), lambda e: [e.render(tree)],
     )
-
-    def text() -> str:
-        return "\n".join(e.render(tree) for e in results) + "\n"
-
-    _emit(payload, args.format, text)
-    return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
     tree = parse_tree_file(args.tree)
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be non-negative")
-    sources = _resolve_source(tree, args)
-    oracle = _oracle(tree) if args.verify else None
+    sources, single = _sources(tree, args)
+    oracle = BruteForceOracle(tree) if args.verify else None
     blocks = []
     for mode, source in sources:
         explanations = enumerate_pi_explanations(tree, source, mode, args.limit)
         if oracle is not None:
-            universe, target, _ = _candidates(tree, source, mode)
-            truth = {e.literals for e in oracle.enumerate_pi(universe, target)}
-            mine = {e.literals for e in explanations}
-            if args.limit is None and mine != truth:
-                raise OracleMismatch(
-                    f"enumeration found {len(mine)} sets, oracle {len(truth)}"
-                )
-            if args.limit is not None and not mine <= truth:
-                raise OracleMismatch("a truncated enumeration emitted a non-PI set")
+            _check_enumeration(oracle, source, mode, explanations, args.limit)
         blocks.append(explanations)
-    single = len(blocks) == 1
-    payload = (
-        [e.as_value_map(tree) for e in blocks[0]]
-        if single
-        else [[e.as_value_map(tree) for e in block] for block in blocks]
+    return _print(
+        args, single, blocks,
+        lambda block: [e.as_value_map(tree) for e in block],
+        lambda block: [e.render(tree) for e in block],
     )
-
-    def text() -> str:
-        lines = []
-        for block in blocks:
-            lines.extend(e.render(tree) for e in block)
-        return "\n".join(lines) + "\n"
-
-    _emit(payload, args.format, text)
-    return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
     reports, errors = batch_report(args.tree)
     if args.verify:
         for report in reports:
-            oracle = _oracle(report.tree)
+            oracle = BruteForceOracle(report.tree)
             for path, detail in zip(report.tree.paths, report.details):
-                if oracle.is_redundant(path) != detail.redundant:
-                    raise OracleMismatch(
-                        f"{report.label}: redundancy of {detail.path_id} "
-                        "disagrees with the oracle"
-                    )
+                _check_redundancy(
+                    oracle, path, detail.redundant, f"{report.label}: {path.path_id}"
+                )
     if args.format == "json":
         # one entry per input file in input order, then the means
-        report_queue = list(reports)
-        error_queue = list(errors)
-        entries = []
-        for name in args.tree:
-            if error_queue and error_queue[0][0] == name:
-                failed, message = error_queue.pop(0)
-                entries.append({"file": failed, "error": message})
-            elif report_queue and report_queue[0].label == name:
-                entries.append(report_queue.pop(0).to_obj())
+        failed = dict(errors)
+        parsed = iter(reports)
+        entries = [
+            {"file": name, "error": failed[name]}
+            if name in failed
+            else next(parsed).to_obj()
+            for name in args.tree
+        ]
         if len(reports) > 1:
             entries.append({"aggregate": aggregate_means(reports)})
         sys.stdout.write(json.dumps(entries, indent=2) + "\n")
-    else:
-        if reports or errors:
-            sys.stdout.write(render_table(reports, errors))
+    elif reports or errors:
+        sys.stdout.write(render_table(reports, errors))
     for path, message in errors:
         sys.stderr.write(f"dtexplain: {path}: {message}\n")
     return EXIT_DATA if errors else EXIT_OK

@@ -14,6 +14,8 @@ threads.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -225,6 +227,8 @@ def parse_instance_json(space: FeatureSpace, text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"invalid instance JSON: {exc.msg}") from None
+    except RecursionError:
+        raise InstanceError("invalid instance JSON: nested too deeply") from None
     if not isinstance(doc, list) or not all(isinstance(v, str) for v in doc):
         raise InstanceError("instance must be a JSON array of value strings")
     return make_instance(space, doc)
@@ -232,14 +236,18 @@ def parse_instance_json(space: FeatureSpace, text: str) -> Instance:
 
 def read_instances_csv(space: FeatureSpace, path: str) -> list[Instance]:
     """Read instances from a CSV file whose header names the features."""
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InstanceError(f"{path}: empty CSV file") from None
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InstanceError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise InstanceError(f"{path}: empty CSV file")
         expected = [f.name for f in space.features]
         if sorted(header) != sorted(expected):
             raise InstanceError(
@@ -251,6 +259,8 @@ def read_instances_csv(space: FeatureSpace, path: str) -> list[Instance]:
             if len(row) != len(header):
                 raise InstanceError(f"{path}:{lineno}: wrong number of columns")
             rows.append(make_instance(space, [row[i] for i in order]))
+    except csv.Error as exc:
+        raise InstanceError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
 
 
@@ -641,6 +651,8 @@ def parse_tree(text: str) -> DecisionTree:
         raise TreeSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise TreeSyntaxError("invalid JSON: nested too deeply") from None
     _require_keys(doc, {"features", "classes", "root", "nodes"}, "tree document")
 
     if not isinstance(doc["features"], list):
@@ -714,11 +726,15 @@ def parse_tree(text: str) -> DecisionTree:
 
 
 def parse_tree_file(path: str) -> DecisionTree:
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             return parse_tree(handle.read())
-        except TreeFormatError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+    except TreeFormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise TreeSyntaxError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
 
 
 def serialize_tree(tree: DecisionTree) -> str:

@@ -17,6 +17,7 @@ from .model import DecisionTree, Edge, FeatureSpace, Instance, Leaf, Split
 __all__ = ["random_tree", "random_instance"]
 
 _VALUE_NAMES = ("a", "b", "c", "d", "e", "f")
+_MULTICLASS_RATE = 0.15  # share of trees with three classes instead of two
 
 
 def random_tree(
@@ -25,7 +26,6 @@ def random_tree(
     max_features: int = 6,
     max_domain: int = 4,
     max_depth: int = 6,
-    multiclass_rate: float = 0.15,
 ) -> DecisionTree:
     """Build a random valid tree; identical seeds give identical trees."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
@@ -34,7 +34,7 @@ def random_tree(
         (f"x{i + 1}", _VALUE_NAMES[: rng.randint(2, max_domain)])
         for i in range(n_features)
     )
-    n_classes = 3 if rng.random() < multiclass_rate else 2
+    n_classes = 3 if rng.random() < _MULTICLASS_RATE else 2
     classes = [str(c) for c in range(n_classes)]
     depth_limit = rng.randint(2, max_depth) if max_depth >= 2 else max_depth
 

@@ -6,7 +6,7 @@ random instances does the same for instance-level queries.  Any
 discrepancy raises :class:`OracleMismatch`; the checks also enforce the
 node-visit bounds of the redundancy decision and of the enumeration's
 family search, and the minimality and containment guarantees of every
-explanation seen.
+explanation seen.  The CLI's ``--verify`` runs the same per-answer checks.
 """
 
 from __future__ import annotations
@@ -18,12 +18,13 @@ from functools import partial
 from .explain import (
     PATH_RESTRICTED,
     PATH_UNRESTRICTED,
+    Explanation,
     entails,
     is_path_redundant,
     one_pi_explanation_instance,
     one_pi_explanation_path,
 )
-from .hitting import _enumerate
+from .hitting import _candidates, _enumerate
 from .model import DecisionTree, Literal, classify, instance_literals
 from .oracle import BruteForceOracle, OracleBudget
 from .randtree import random_instance
@@ -49,25 +50,21 @@ class CheckStats:
         self.max_visit_slack = max(self.max_visit_slack, other.max_visit_slack)
 
 
-def _require(condition: bool, label: str, detail: str) -> None:
+def _require(condition: bool, label: str | None, detail: str) -> None:
     if not condition:
-        raise OracleMismatch(f"{label}: {detail}")
+        raise OracleMismatch(f"{label}: {detail}" if label else detail)
 
 
-def _explanation_sets(explanations) -> set[frozenset[Literal]]:
-    return {e.literals for e in explanations}
-
-
-def _enumerated(tree, source, mode: str, label: str) -> set[frozenset[Literal]]:
-    """The PI-explanation sets of a source, after checking that the
-    family search entered each tree node at most once."""
+def _enumerated(tree, source, mode: str, label: str) -> list[Explanation]:
+    """The PI-explanations of a source, after checking that the family
+    search entered each tree node at most once."""
     explanations, entered = _enumerate(tree, source, mode, None)
     _require(
         entered <= tree.node_count,
         label,
         f"family search entered {entered} nodes, bound is {tree.node_count}",
     )
-    return _explanation_sets(explanations)
+    return explanations
 
 
 def _check_minimal(entails_fn, literals, target, label: str | None = None) -> None:
@@ -83,6 +80,33 @@ def _check_minimal(entails_fn, literals, target, label: str | None = None) -> No
                 f"{where}explanation is not subset-minimal "
                 f"(droppable literal on feature index {lit.feature})"
             )
+
+
+def _check_redundancy(oracle, path, redundant: bool, label: str | None = None) -> None:
+    """Raise :class:`OracleMismatch` unless the oracle's verdict on ``path``
+    is ``redundant``."""
+    _require(
+        redundant == oracle.is_redundant(path),
+        label,
+        f"redundancy verdict {redundant} disagrees with the oracle",
+    )
+
+
+def _check_enumeration(
+    oracle, source, mode: str, explanations, limit=None, label: str | None = None
+) -> set[frozenset[Literal]]:
+    """The oracle's PI-explanation sets for a path or an instance in
+    ``mode``, after checking that ``explanations`` are all of them, or
+    ``limit`` of them (all, if there are fewer)."""
+    universe, target, _ = _candidates(oracle.tree, source, mode)
+    truth = {e.literals for e in oracle.enumerate_pi(universe, target)}
+    found = {e.literals for e in explanations}
+    want = len(truth) if limit is None else min(limit, len(truth))
+    _require(found <= truth, label, "enumeration emitted a non-PI set")
+    _require(
+        len(found) == want, label, f"enumeration found {len(found)} sets, oracle {want}"
+    )
+    return truth
 
 
 def check_tree(
@@ -101,11 +125,7 @@ def check_tree(
     for path in tree.paths:
         where = f"{label}/{path.path_id}"
         verdict = is_path_redundant(tree, path)
-        _require(
-            verdict.redundant == oracle.is_redundant(path),
-            where,
-            f"redundancy verdict {verdict.redundant} disagrees with the oracle",
-        )
+        _check_redundancy(oracle, path, verdict.redundant, where)
         bound = tree.node_count + path.depth
         slack = verdict.node_visits - bound
         stats.max_visit_slack = max(stats.max_visit_slack, slack)
@@ -126,22 +146,15 @@ def check_tree(
             where,
             "redundancy verdict does not match extraction shrinkage",
         )
-        truth = _explanation_sets(
-            oracle.enumerate_pi(path.literals, path.prediction)
-        )
+        fast = _enumerated(tree, path, PATH_RESTRICTED, where)
+        truth = _check_enumeration(oracle, path, PATH_RESTRICTED, fast, None, where)
         _require(
             extracted.literals in truth,
             where,
             "extracted path explanation is not a PI-explanation",
         )
-        fast = _enumerated(tree, path, PATH_RESTRICTED, where)
-        _require(
-            fast == truth,
-            where,
-            f"restricted enumeration found {len(fast)} sets, oracle {len(truth)}",
-        )
         _check_minimal(fast_entails, extracted.literals, path.prediction, where)
-        restricted_by_leaf[path.leaf_id] = fast
+        restricted_by_leaf[path.leaf_id] = truth
         stats.paths += 1
 
     for k in range(n_instances):
@@ -162,24 +175,19 @@ def check_tree(
             where,
             "instance explanation leaves the instance literals",
         )
-        truth = _explanation_sets(oracle.enumerate_pi(equality, target))
+        fast = _enumerated(tree, point, PATH_UNRESTRICTED, where)
+        truth = _check_enumeration(oracle, point, PATH_UNRESTRICTED, fast, None, where)
         _require(
             extracted.literals in truth,
             where,
             "extracted instance explanation is not a PI-explanation",
-        )
-        fast = _enumerated(tree, point, PATH_UNRESTRICTED, where)
-        _require(
-            fast == truth,
-            where,
-            f"unrestricted enumeration found {len(fast)} sets, oracle {len(truth)}",
         )
         if all(len(lit.allowed) == 1 for lit in path.literals):
             # containment of restricted in unrestricted explanations is a
             # literal-level statement, so it applies only when the path's
             # literals are equality literals
             _require(
-                restricted_by_leaf[path.leaf_id] <= fast,
+                restricted_by_leaf[path.leaf_id] <= truth,
                 where,
                 "a path-restricted explanation is missing from the "
                 "unrestricted ones",

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import importlib
 import json
 import os
 import pathlib
@@ -235,6 +236,32 @@ def test_stats_partial_failure(capsys, tmp_path):
     assert "broken.json" in err
 
 
+@pytest.mark.parametrize(
+    "command, single, listed",
+    [
+        ("classify", ["-i", '["1", "1", "1", "1"]'], ["--instances", "ONE_ROW"]),
+        ("explain", ["-i", '["1", "1", "1", "1"]'], ["--instances", "ONE_ROW"]),
+        ("enumerate", ["-i", '["1", "1", "1", "1"]'], ["--instances", "ONE_ROW"]),
+        ("explain", ["--path", "P2"], ["--instances", "ONE_ROW", "--mode", "restricted"]),
+        ("redundancy", ["--path", "Q1"], ["--all"]),
+    ],
+)
+def test_json_shape_follows_the_source_flag(capsys, tmp_path, command, single, listed):
+    """-i and --path print one entry; --instances and --all print a list,
+    even of one row."""
+    rows = tmp_path / "one.csv"
+    rows.write_text("x1,x2,x3,x4\n1,1,1,1\n", encoding="utf-8")
+    argv = (command, "-t", fixture_path("selector"), "--format", "json")
+    code, one, _ = invoke(capsys, *argv, *single)
+    assert code == 0
+    listed = [str(rows) if flag == "ONE_ROW" else flag for flag in listed]
+    code, many, _ = invoke(capsys, *argv, *listed)
+    assert code == 0
+    assert json.loads(many)[0] == json.loads(one)
+    if command != "redundancy":
+        assert len(json.loads(many)) == 1
+
+
 # -- errors and exit codes ------------------------------------------------------------
 
 
@@ -265,6 +292,33 @@ def test_bad_tree_file_is_data_error(capsys, tmp_path):
         code, _, err = invoke(capsys, "stats", "-t", str(bad))
         assert code == 2
         assert "feature must be a name string" in err
+    deep = ("[" * 50_000 + "]" * 50_000).encode()
+    for raw, reason in ((b"\xff\xfe{}", "not UTF-8"), (deep, "nested too deeply")):
+        bad.write_bytes(raw)
+        code, _, err = invoke(capsys, "redundancy", "-t", str(bad))
+        assert code == 2
+        assert err.startswith(f"dtexplain: error: {bad}: ") and reason in err
+        code, out, err = invoke(capsys, "stats", "-t", str(bad), fixture_path("or_tree"))
+        assert code == 2
+        assert f"error: {bad}: " in out and reason in out  # the error row
+        assert fixture_path("or_tree") in out  # the other file still reports
+
+
+def test_bad_instance_input_is_data_error(capsys, tmp_path):
+    tree = fixture_path("or_tree")
+    deep = "[" * 50_000 + "]" * 50_000
+    code, _, err = invoke(capsys, "explain", "-t", tree, "-i", deep)
+    assert code == 2
+    assert err == "dtexplain: error: invalid instance JSON: nested too deeply\n"
+    rows = tmp_path / "rows.csv"
+    for raw, reason in (
+        (b"x1,x2\n0,1\n\xff,0\n", "not UTF-8"),
+        (b"x1,x2\n0,1\n1," + b"0" * 200_000 + b"\n", "field larger than field limit"),
+    ):
+        rows.write_bytes(raw)
+        code, _, err = invoke(capsys, "classify", "-t", tree, "--instances", str(rows))
+        assert code == 2
+        assert err.startswith(f"dtexplain: error: {rows}:3: ") and reason in err
 
 
 def test_unknown_path_id_is_data_error(capsys):
@@ -325,21 +379,93 @@ def test_verify_stats_parses_each_file_once(capsys, monkeypatch):
     assert len(parsed) == len(files)
 
 
-def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
+def _drop_last(real):
+    def lie(tree, source, mode, limit=None):
+        return real(tree, source, mode, limit)[:-1]
+    return lie
+
+
+def _merge_first_two(real):
+    def lie(tree, source, mode, limit=None):
+        first, second = real(tree, source, mode)[:2]  # entails, not minimal
+        return [Explanation(first.literals | second.literals, first.target)]
+    return lie
+
+
+def _flip_verdict(real):
     def lie(tree, path):
-        honest = is_path_redundant_real(tree, path)
+        honest = real(tree, path)
         return RedundancyResult(
             not honest.redundant, honest.witness, honest.node_visits
         )
+    return lie
 
-    from dtexplain.explain import is_path_redundant as is_path_redundant_real
 
-    monkeypatch.setattr("dtexplain.cli.is_path_redundant", lie)
+def _other_class(real):
+    def lie(tree, point):
+        class_id, path = real(tree, point)
+        return (class_id + 1) % len(tree.classes), path
+    return lie
+
+
+def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
+    from dtexplain.explain import is_path_redundant
+
+    monkeypatch.setattr(
+        "dtexplain.cli.is_path_redundant", _flip_verdict(is_path_redundant)
+    )
     code, _, err = invoke(
         capsys, "redundancy", "-t", fixture_path("or_tree"), "--verify"
     )
     assert code == 3
     assert "mismatch" in err
+
+
+@pytest.mark.parametrize(
+    "target, liar, argv",
+    [
+        (
+            "dtexplain.cli.enumerate_pi_explanations", _drop_last,
+            ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]'),
+        ),
+        (
+            "dtexplain.cli.enumerate_pi_explanations", _merge_first_two,
+            ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]',
+             "--limit", "1"),
+        ),
+        (
+            "dtexplain.report.is_path_redundant", _flip_verdict,
+            ("stats", "-t", fixture_path("or_tree")),
+        ),
+        (
+            "dtexplain.cli.classify", _other_class,
+            ("classify", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
+        ),
+    ],
+    ids=["enumerate", "enumerate-limit", "stats", "classify"],
+)
+def test_verify_detects_every_lying_command(capsys, monkeypatch, target, liar, argv):
+    module, name = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    code, out, _ = invoke(capsys, *argv, "--verify")
+    assert code == 0 and out  # honest answers pass
+    monkeypatch.setattr(target, liar(real))
+    code, out, err = invoke(capsys, *argv, "--verify")
+    assert code == 3 and out == ""
+    assert "oracle mismatch" in err
+
+
+def test_verify_detects_a_short_truncated_enumeration(capsys, monkeypatch):
+    """Under --limit N, fewer than N sets when the oracle has N is a mismatch."""
+    monkeypatch.setattr(
+        "dtexplain.cli.enumerate_pi_explanations", lambda *args: []
+    )
+    code, out, err = invoke(
+        capsys, "enumerate", "-t", fixture_path("selector"),
+        "-i", '["1", "1", "1", "1"]', "--limit", "1", "--verify",
+    )
+    assert code == 3 and out == ""
+    assert err == "dtexplain: oracle mismatch: enumeration found 0 sets, oracle 1\n"
 
 
 @pytest.mark.parametrize("keep", ["all", "none"])
