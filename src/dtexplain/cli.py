@@ -297,8 +297,8 @@ def _cmd_stats(args) -> int:
         sys.stdout.write(json.dumps(entries, indent=2) + "\n")
     elif reports or errors:
         sys.stdout.write(render_table(reports, errors))
-    for path, message in errors:
-        sys.stderr.write(f"dtexplain: {path}: {message}\n")
+    for _, message in errors:
+        sys.stderr.write(f"dtexplain: error: {message}\n")
     return EXIT_DATA if errors else EXIT_OK
 
 

@@ -7,13 +7,16 @@ prediction, so the path's literal set strictly contains a PI-explanation.
 
 Every question here is answered by one lookup, :func:`_contrary_leaf`: an
 explicit-stack depth-first search for a leaf of another class that some
-point satisfying the current per-feature allowed sets can reach.  It
-narrows a feature's allowed set when it descends an edge and undoes the
-narrowing on backtrack; a feature without an entry is universal.  Being
-iterative, it is not limited by the interpreter's recursion depth.
+point satisfying the current per-feature allowed sets can reach.  It runs
+on the tree's lowered form (integer node numbers, see
+:class:`~dtexplain.model.DecisionTree`), and the allowed sets are a list
+of int value masks indexed by feature, where a universal feature holds
+its whole domain's mask.  The search narrows a feature's mask when an
+edge really narrows it and undoes that on backtrack.  Being iterative, it
+is not limited by the interpreter's recursion depth.
 
 The per-path redundancy decision works node-locally: it follows the
-leaf's parent chain up to the root (``TreePath.tests``), and at each node
+leaf's parent chain up to the root (``TreePath.steps``), and at each node
 searches only the subtrees hanging off the untaken edges.  Those subtrees
 are pairwise disjoint across all path nodes, so the whole decision
 examines each tree node at most once, which is the node-visit bound.
@@ -32,9 +35,9 @@ from typing import Iterable
 from .model import (
     DecisionTree,
     Instance,
-    Leaf,
     Literal,
     TreePath,
+    _mask,
     classify,
     instance_literals,
 )
@@ -96,61 +99,63 @@ class RedundancyResult:
 
 
 def _contrary_leaf(
-    tree: DecisionTree,
-    node_id: str,
-    target: int,
-    allowed: dict[int, frozenset[int]],
+    tree: DecisionTree, node: int, target: int, allowed: list[int]
 ) -> tuple[bool, int]:
-    """Whether a leaf below ``node_id`` (inclusive) predicts a class other
-    than ``target`` and is reachable by a point whose features take values
-    in ``allowed`` (a feature without an entry is free).
+    """Whether a leaf below node number ``node`` (inclusive) predicts a
+    class other than ``target`` and is reachable by a point whose features
+    take values in ``allowed`` (one value mask per feature).
 
     Edges are searched in declaration order and the search stops at the
     first contrary leaf.  Also returns the number of nodes entered, leaves
     included.  ``allowed`` itself is left unchanged.
     """
-    allowed = dict(allowed)
-    nodes = tree.nodes
+    allowed = allowed[:]
+    feature_of, leaf_class, children = tree._feature, tree._class, tree._children
     examined = 0
-    # (child, feature, values): enter child with allowed[feature] = values;
-    # child None restores allowed[feature] to values (None: free again)
-    stack: list[tuple[str | None, int | None, frozenset[int] | None]] = [
-        (node_id, None, None)
-    ]
+    # (node, feature, values): enter node with allowed[feature] = values
+    # (feature -1: nothing narrowed); node -1 restores allowed[feature]
+    stack = [(node, -1, 0)]
     while stack:
-        child, feature, values = stack.pop()
-        if child is None:
-            if values is None:
-                del allowed[feature]
-            else:
-                allowed[feature] = values
+        node, feature, values = stack.pop()
+        if node < 0:
+            allowed[feature] = values
             continue
         examined += 1
-        node = nodes[child]
-        if isinstance(node, Leaf):
-            if node.class_id != target:
+        f = feature_of[node]
+        if f < 0:
+            if leaf_class[node] != target:
                 return True, examined
             continue
-        if feature is not None:
-            stack.append((None, feature, allowed.get(feature)))
+        if feature >= 0:
+            stack.append((-1, feature, allowed[feature]))
             allowed[feature] = values
-        entry = allowed.get(node.feature)
-        for edge in reversed(node.edges):
-            step = edge.values if entry is None else edge.values & entry
-            if step:
-                stack.append((edge.child, node.feature, step))
+        entry = allowed[f]
+        for child, mask in reversed(children[node]):
+            step = mask & entry
+            if step == entry:
+                stack.append((child, -1, 0))
+            elif step:
+                stack.append((child, f, step))
     return False, examined
+
+
+def _allowed(tree: DecisionTree, literals: Iterable[Literal]) -> list[int]:
+    """One value mask per feature: its literal's values, else the whole
+    domain."""
+    allowed = tree._full[:]
+    seen = set()
+    for lit in literals:
+        if lit.feature in seen:
+            raise ValueError(f"more than one literal for feature index {lit.feature}")
+        seen.add(lit.feature)
+        allowed[lit.feature] = _mask(lit.allowed)
+    return allowed
 
 
 def entails(tree: DecisionTree, literals: Iterable[Literal], class_id: int) -> bool:
     """True iff every point consistent with the literals classifies to
     ``class_id``; a single root-down traversal pruning disjoint edges."""
-    allowed: dict[int, frozenset[int]] = {}
-    for lit in literals:
-        if lit.feature in allowed:
-            raise ValueError(f"more than one literal for feature index {lit.feature}")
-        allowed[lit.feature] = lit.allowed
-    return not _contrary_leaf(tree, tree.root, class_id, allowed)[0]
+    return not _contrary_leaf(tree, 0, class_id, _allowed(tree, literals))[0]
 
 
 def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
@@ -165,45 +170,65 @@ def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
     """
     tree.check_owns(path)
     visits = 0
-    base = path.literal_map
-    allowed = dict(base)
+    base = _allowed(tree, path.literals)
+    allowed = base[:]
     failed: set[int] = set()
-    for node_id, child_id, above in path.tests():
-        node = tree.nodes[node_id]
-        feature = node.feature
+    for node, taken in path.steps():
+        feature = tree._feature[node]
         visits += 1
         if feature in failed:
             continue
-        for edge in node.edges:
-            step = edge.values if above is None else edge.values & above
-            if edge.child == child_id or not step:
+        above = tree._above[node]
+        entry = above or tree._full[feature]
+        for child, mask in tree._children[node]:
+            step = mask & entry
+            if child == taken or not step:
                 continue
             allowed[feature] = step
-            found, examined = _contrary_leaf(tree, edge.child, path.prediction, allowed)
+            found, examined = _contrary_leaf(tree, child, path.prediction, allowed)
             visits += examined
             if found:
                 failed.add(feature)
                 break
         allowed[feature] = base[feature]
-        if feature not in failed and above is None:
+        if feature not in failed and not above:
             return RedundancyResult(True, feature, visits)
     return RedundancyResult(False, None, visits)
 
 
 def _greedy(
     tree: DecisionTree,
-    kept: dict[int, frozenset[int]],
+    literals: tuple[Literal, ...],
     order: Iterable[int],
     target: int,
-) -> frozenset[Literal]:
-    """Drop each feature of ``order`` in turn from ``kept`` when the rest
-    still leaves every contrary leaf unreachable; the literals that stay
-    form a PI-explanation."""
+) -> tuple[frozenset[Literal], int]:
+    """Drop each feature of ``order`` in turn from ``literals`` when the
+    rest still leaves every contrary leaf unreachable; the literals that
+    stay form a PI-explanation.  Also returns the number of nodes the
+    lookups entered."""
+    allowed = _allowed(tree, literals)
+    dropped = set()
+    entered = 0
     for feature in order:
-        values = kept.pop(feature)
-        if _contrary_leaf(tree, tree.root, target, kept)[0]:
-            kept[feature] = values
-    return frozenset(Literal(f, v) for f, v in kept.items())
+        values = allowed[feature]
+        allowed[feature] = tree._full[feature]
+        found, examined = _contrary_leaf(tree, 0, target, allowed)
+        entered += examined
+        if found:
+            allowed[feature] = values
+        else:
+            dropped.add(feature)
+    return frozenset(lit for lit in literals if lit.feature not in dropped), entered
+
+
+def _extract_path(tree: DecisionTree, path: TreePath) -> tuple[Explanation, int]:
+    """:func:`one_pi_explanation_path` and the number of tree nodes its
+    lookups entered."""
+    tree.check_owns(path)
+    order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
+    literals, entered = _greedy(tree, path.literals, order, path.prediction)
+    found = Explanation(literals, path.prediction, PATH_RESTRICTED, path.path_id)
+    return found, entered
 
 
 def one_pi_explanation_path(tree: DecisionTree, path: TreePath) -> Explanation:
@@ -213,14 +238,7 @@ def one_pi_explanation_path(tree: DecisionTree, path: TreePath) -> Explanation:
     the path's literal set minus the dropped features, and it is
     subset-minimal.
     """
-    tree.check_owns(path)
-    order = dict.fromkeys(tree.nodes[node_id].feature for node_id, _, _ in path.tests())
-    return Explanation(
-        literals=_greedy(tree, path.literal_map, order, path.prediction),
-        target=path.prediction,
-        mode=PATH_RESTRICTED,
-        source=path.path_id,
-    )
+    return _extract_path(tree, path)[0]
 
 
 def one_pi_explanation_instance(tree: DecisionTree, instance: Instance) -> Explanation:
@@ -231,9 +249,10 @@ def one_pi_explanation_instance(tree: DecisionTree, instance: Instance) -> Expla
     PI-explanations.
     """
     target, _ = classify(tree, instance)
-    kept = {lit.feature: lit.allowed for lit in instance_literals(tree.space, instance)}
+    literals = instance_literals(tree.space, instance)
+    order = range(len(literals) - 1, -1, -1)
     return Explanation(
-        literals=_greedy(tree, kept, sorted(kept, reverse=True), target),
+        literals=_greedy(tree, literals, order, target)[0],
         target=target,
         mode=PATH_UNRESTRICTED,
         source=tuple(instance),

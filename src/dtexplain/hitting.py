@@ -11,10 +11,13 @@ Whatever hits a member hits its supersets, so only the distinct
 inclusion-minimal members matter: in path-unrestricted mode, the
 instance's contrastive explanations (Ignatiev et al., NeurIPS 2019).
 Enumeration finds exactly those with one explicit-stack search from the
-root, :func:`_contrary_family`, which carries the conflict set down as an
-int bitmask and skips every subtree whose mask already contains a member
-it found.  :func:`build_hitting_sets` still lists one member per contrary
-path, for inspection.
+root over the tree's lowered form, :func:`_contrary_family`, which carries
+the conflict set down as an int bitmask over the candidates and skips
+every subtree whose mask already contains a member it found.  Each
+candidate's remaining values are an int value mask too, indexed by
+feature; features outside the candidates are free and never narrowed.
+:func:`build_hitting_sets` still lists one member per contrary path, for
+inspection.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from dataclasses import dataclass
 from .model import (
     DecisionTree,
     Instance,
-    Leaf,
     Literal,
     TreePath,
+    _bits,
+    _mask,
     classify,
     instance_literals,
 )
@@ -136,22 +140,22 @@ def _contrary_family(
     downwards, so a subtree whose mask already contains a member is
     skipped.  Each node is entered at most once.
     """
-    position = {lit.feature: (1 << i, lit.allowed) for i, lit in enumerate(universe)}
-    nodes = tree.nodes
-    running: dict[int, frozenset[int]] = {}
+    bit_of = [0] * len(tree.space)
+    running = [0] * len(tree.space)  # a candidate's remaining value mask
+    for i, lit in enumerate(universe):
+        bit_of[lit.feature] = 1 << i
+        running[lit.feature] = _mask(lit.allowed)
+    feature_of, leaf_class, children = tree._feature, tree._class, tree._children
     family: dict[int, str] = {}
     entered = 0
-    # (child, mask, feature, values): enter child with running[feature] =
-    # values (feature None: no narrowing); child None restores
-    # running[feature] to values (None: the candidate's whole set again)
-    stack: list[tuple] = [(tree.root, 0, None, None)]
+    # (node, mask, feature, values): enter node with running[feature] =
+    # values (feature -1: nothing narrowed); node -1 restores
+    # running[feature] to values
+    stack = [(0, 0, -1, 0)]
     while stack:
-        node_id, mask, feature, values = stack.pop()
-        if node_id is None:
-            if values is None:
-                del running[feature]
-            else:
-                running[feature] = values
+        node, mask, feature, values = stack.pop()
+        if node < 0:
+            running[feature] = values
             continue
         if mask:  # skip if the mask contains a member; faster than any()
             for member in family:
@@ -162,33 +166,32 @@ def _contrary_family(
             if member:
                 continue
         entered += 1
-        node = nodes[node_id]
-        if isinstance(node, Leaf):
-            if node.class_id != target:
-                path_id = tree._path_by_leaf[node_id].path_id
+        f = feature_of[node]
+        if f < 0:
+            if leaf_class[node] != target:
+                path_id = tree._leaf_path[node].path_id
                 if not mask:
                     raise _no_conflict(path_id)
                 family = {m: pid for m, pid in family.items() if m & mask != mask}
                 family[mask] = path_id
             continue
-        if feature is not None:
-            stack.append((None, 0, feature, running.get(feature)))
+        if feature >= 0:
+            stack.append((-1, 0, feature, running[feature]))
             running[feature] = values
-        f = node.feature
-        bit, allowed = position.get(f, (0, None))
+        bit = bit_of[f]
         if not bit or mask & bit:
-            for edge in reversed(node.edges):
-                stack.append((edge.child, mask, None, None))
+            for child, _ in reversed(children[node]):
+                stack.append((child, mask, -1, 0))
             continue
-        entry = running.get(f, allowed)
-        for edge in reversed(node.edges):
-            step = edge.values & entry
+        entry = running[f]
+        for child, values in reversed(children[node]):
+            step = values & entry
             if not step:
-                stack.append((edge.child, mask | bit, None, None))
-            elif len(step) == len(entry):
-                stack.append((edge.child, mask, None, None))
+                stack.append((child, mask | bit, -1, 0))
+            elif step == entry:
+                stack.append((child, mask, -1, 0))
             else:
-                stack.append((edge.child, mask, f, step))
+                stack.append((child, mask, f, step))
     return family, entered
 
 
@@ -262,10 +265,7 @@ def _enumerate(
     family search entered."""
     universe, target, tag = _candidates(tree, source, mode)
     family, entered = _contrary_family(tree, universe, target)
-    sets = tuple(
-        (path_id, frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
-        for mask, path_id in family.items()
-    )
+    sets = tuple((path_id, _bits(mask)) for mask, path_id in family.items())
     found = enumerate_mhs(HittingSetInstance(universe, sets), limit)
     return [
         Explanation(literals=lits, target=target, mode=mode, source=tag)

@@ -293,6 +293,16 @@ class Literal:
 _feature_of = operator.attrgetter("feature")
 
 
+def _mask(values: Iterable[int]) -> int:
+    """The int bitmask of a set of value indices."""
+    return sum(map((1).__lshift__, values))
+
+
+def _bits(mask: int) -> frozenset[int]:
+    """The indices of the bits set in ``mask``."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ...]:
     """The equality literals of a point, one per feature in feature order."""
     return tuple(
@@ -321,36 +331,44 @@ class Leaf:
 Node = Split | Leaf
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TreePath:
     """A root-to-leaf path with its aggregated literal set.
 
     ``literals`` holds one aggregated literal per tested feature, in order
     of first test; paths below a common node share their ``Literal``
-    objects.  ``depth`` counts the internal nodes on the path.  The nodes
-    themselves are not stored: :meth:`tests` reads them off the tree.
+    objects.  ``leaf`` is the leaf's node number in the tree's lowered
+    form and ``depth`` counts the internal nodes on the path.  The nodes
+    themselves are not stored: :meth:`steps` reads them off the tree.
     """
 
     tree: "DecisionTree" = field(repr=False)
     path_id: str
-    leaf_id: str
+    leaf: int
     prediction: int
     literals: tuple[Literal, ...]
     depth: int
 
+    @property
+    def leaf_id(self) -> str:
+        return self.tree._ids[self.leaf]
+
+    def steps(self) -> Iterator[tuple[int, int]]:
+        """The path's internal nodes, deepest first, as node numbers
+        ``(node, child)``: the path leaves ``node`` towards ``child``."""
+        parent = self.tree._parent
+        child = self.leaf
+        while (node := parent[child]) >= 0:
+            yield node, child
+            child = node
+
     def tests(self) -> Iterator[tuple[str, str, frozenset[int] | None]]:
-        """The path's internal nodes, deepest first, as ``(node_id,
-        child_id, above)``: the path leaves the node towards ``child_id``,
-        and ``above`` is the node feature's allowed set on entry when a
-        shallower node of the path tests it too (None at its shallowest
-        test)."""
-        tree = self.tree
-        parents, above = tree._parents, tree._above
-        child = self.leaf_id
-        while child != tree.root:
-            node_id = parents[child]
-            yield node_id, child, above.get(node_id)
-            child = node_id
+        """:meth:`steps` as ``(node_id, child_id, above)``, where ``above``
+        is the node feature's allowed set on entry when a shallower node
+        of the path tests it too (None at its shallowest test)."""
+        ids, above = self.tree._ids, self.tree._above
+        for node, child in self.steps():
+            yield ids[node], ids[child], _bits(above[node]) if above[node] else None
 
     @property
     def literal_map(self) -> dict[int, frozenset[int]]:
@@ -371,8 +389,10 @@ class DecisionTree:
     """A validated decision tree over a categorical feature space.
 
     Construction checks every structural invariant (edge partitioning,
-    rooted tree shape, reachable leaves) and enumerates the root-to-leaf
-    paths once; the instance is immutable afterwards.
+    rooted tree shape, reachable leaves), enumerates the root-to-leaf
+    paths once and, in the same pass, lowers the tree to the integer node
+    numbers and int value masks that the lookups and :func:`classify` run
+    on; the instance is immutable afterwards.
     """
 
     def __init__(
@@ -390,11 +410,9 @@ class DecisionTree:
             raise TreeSchemaError("duplicate class name")
         self.root = root
         self.nodes: dict[str, Node] = dict(nodes)
-        self._parents = self._validate_nodes()
-        self._above: dict[str, frozenset[int]] = {}
-        self._paths = self._build_paths()
+        self._full = [(1 << len(f.domain)) - 1 for f in space.features]
+        self._paths = self._build_paths(self._validate_nodes())
         self._path_by_id = {p.path_id: p for p in self._paths}
-        self._path_by_leaf = {p.leaf_id: p for p in self._paths}
 
     # -- validation -------------------------------------------------------
 
@@ -454,10 +472,9 @@ class DecisionTree:
             raise NotATreeError(clash)
         return parents
 
-    def _reject_unreached(self, empty: tuple | None) -> None:
+    def _reject_unreached(self, parents: dict[str, str], empty: tuple | None) -> None:
         """Raise a cycle, else a parentless node, else the empty edge.  With
         one parent per node, each parent chain is walked once."""
-        parents = self._parents
         done: set[str] = set()
         for start in self.nodes:
             chain: set[str] = set()
@@ -479,46 +496,65 @@ class DecisionTree:
 
     # -- path enumeration --------------------------------------------------
 
-    def _build_paths(self) -> tuple[TreePath, ...]:
+    def _build_paths(self, parents: dict[str, str]) -> tuple[TreePath, ...]:
         """One depth-first pass from the root, edges in declaration order.
         A child's literals are its parent's plus one, or with the re-tested
-        feature's literal narrowed, so paths below a node share them; a
-        re-testing node records the feature's allowed set on entry in
-        ``_above``.  An edge narrowed to no value is not entered."""
+        feature's literal narrowed, so paths below a node share them.  An
+        edge narrowed to no value is not entered.
+
+        The same pass lowers the tree to lists indexed by node number (root
+        0, children numbered when their parent is reached): ``_ids``,
+        ``_feature`` (-1 at a leaf), a leaf's ``_class`` and ``_leaf_path``,
+        ``_children`` (``(child, value mask)`` per edge), ``_parent`` (-1 at
+        the root) and ``_above`` (a re-tested feature's mask on entry, else
+        0).  A value mask has bit ``v`` set for value index ``v``."""
+        n = len(self.nodes)
+        ids = self._ids = [self.root]
+        feature = self._feature = [-1] * n
+        leaf_class = self._class = [-1] * n
+        children = self._children = [()] * n
+        parent = self._parent = [-1] * n
+        above = self._above = [0] * n
+        leaf_path = self._leaf_path = [None] * n
         counters = [0] * len(self.classes)
         paths = []
-        reached = 0
         empty = None
-        stack: list[tuple] = [(self.root, (), 0)]
+        stack: list[tuple] = [(0, (), 0)]
         while stack:
-            node_id, lits, depth = stack.pop()
-            reached += 1
-            node = self.nodes[node_id]
+            i, lits, depth = stack.pop()
+            node = self.nodes[ids[i]]
             if isinstance(node, Leaf):
-                c = node.class_id
+                c = leaf_class[i] = node.class_id
                 counters[c] += 1
                 pid = self._path_prefix(c) + str(counters[c])
-                paths.append(TreePath(self, pid, node_id, c, lits, depth))
+                leaf_path[i] = TreePath(self, pid, i, c, lits, depth)
+                paths.append(leaf_path[i])
                 continue
-            f = node.feature
+            f = feature[i] = node.feature
             feats = tuple(map(_feature_of, lits))
             k = feats.index(f) if f in feats else None
             if k is not None:
-                self._above[node_id] = lits[k].allowed
+                above[i] = _mask(lits[k].allowed)
+            kids = []
             # push in reverse so edges pop in declaration order
-            for i in range(len(node.edges) - 1, -1, -1):
-                edge = node.edges[i]
+            for e in range(len(node.edges) - 1, -1, -1):
+                j, values = len(ids), node.edges[e].values
+                ids.append(node.edges[e].child)
+                parent[j] = i
+                kids.append((j, _mask(values)))
                 if k is None:
-                    child_lits = lits + (Literal(f, edge.values),)
+                    child_lits = lits + (Literal(f, values),)
                 else:
-                    narrowed = lits[k].allowed & edge.values
+                    narrowed = lits[k].allowed & values
                     if not narrowed:
-                        empty = empty or (node_id, i, f)
+                        empty = empty or (ids[i], e, f)
                         continue
                     child_lits = lits[:k] + (Literal(f, narrowed),) + lits[k + 1 :]
-                stack.append((edge.child, child_lits, depth + 1))
-        if empty is not None or reached < len(self.nodes):
-            self._reject_unreached(empty)
+                stack.append((j, child_lits, depth + 1))
+            children[i] = tuple(reversed(kids))
+        # every numbered node was entered unless an edge was empty
+        if empty is not None or len(ids) < n:
+            self._reject_unreached(parents, empty)
         return tuple(paths)
 
     def _path_prefix(self, class_id: int) -> str:
@@ -580,39 +616,29 @@ def classify(tree: DecisionTree, instance: Instance) -> tuple[int, TreePath]:
             raise InstanceError(
                 f"value index {val} out of range for feature {feat.name!r}"
             )
-    node_id = tree.root
-    while True:
-        node = tree.nodes[node_id]
-        if isinstance(node, Leaf):
-            path = tree._path_by_leaf[node_id]
-            return node.class_id, path
-        value = instance[node.feature]
-        for edge in node.edges:
-            if value in edge.values:
-                node_id = edge.child
+    feature, children = tree._feature, tree._children
+    node = 0
+    while (f := feature[node]) >= 0:
+        bit = 1 << instance[f]
+        for child, values in children[node]:
+            if values & bit:
+                node = child
                 break
+    path = tree._leaf_path[node]
+    return path.prediction, path
 
 
 def path_point_count(space: FeatureSpace, literals: Iterable[Literal]) -> int:
     """Exact number of space points consistent with a literal set."""
-    allowed: dict[int, frozenset[int]] = {}
+    allowed = [(1 << len(f.domain)) - 1 for f in space.features]
     for lit in literals:
-        if lit.feature in allowed:
-            allowed[lit.feature] = allowed[lit.feature] & lit.allowed
-        else:
-            allowed[lit.feature] = lit.allowed
-    count = 1
-    for feat in space.features:
-        sub = allowed.get(feat.index)
-        if sub is None:
-            count *= len(feat.domain)
-        elif not sub:
-            raise InconsistentLiteralsError(
-                f"literals constrain {feat.name!r} to no value at all"
-            )
-        else:
-            count *= len(sub)
-    return count
+        allowed[lit.feature] &= _mask(lit.allowed)
+    if 0 in allowed:
+        name = space.feature(allowed.index(0)).name
+        raise InconsistentLiteralsError(
+            f"literals constrain {name!r} to no value at all"
+        )
+    return math.prod(mask.bit_count() for mask in allowed)
 
 
 # -- JSON tree format -------------------------------------------------------
@@ -680,6 +706,8 @@ def parse_tree(text: str) -> DecisionTree:
         raise TreeSchemaError("'nodes' must be an object")
 
     nodes: dict[str, Node] = {}
+    leaves = [Leaf(c) for c in range(len(classes))]
+    value_sets: dict[frozenset[int], frozenset[int]] = {}  # one object per set
     for node_id, obj in doc["nodes"].items():
         if not isinstance(obj, Mapping):
             raise TreeSchemaError(f"node {node_id!r} must be a JSON object")
@@ -691,7 +719,7 @@ def parse_tree(text: str) -> DecisionTree:
                 raise UnknownClassError(
                     f"node {node_id!r}: unknown class {obj['leaf']!r}"
                 )
-            nodes[node_id] = Leaf(classes.index(obj["leaf"]))
+            nodes[node_id] = leaves[classes.index(obj["leaf"])]
             continue
         _require_keys(obj, {"feature", "edges"}, f"node {node_id!r}")
         if not isinstance(obj["feature"], str):
@@ -717,9 +745,9 @@ def parse_tree(text: str) -> DecisionTree:
                 raise TreeSchemaError(
                     f"node {node_id!r} edge #{j}: child must be a node id string"
                 )
-            edges.append(
-                Edge(frozenset(feat.value_index(v) for v in values), eobj["child"])
-            )
+            value_set = frozenset(feat.value_index(v) for v in values)
+            value_set = value_sets.setdefault(value_set, value_set)
+            edges.append(Edge(value_set, eobj["child"]))
         nodes[node_id] = Split(feat.index, tuple(edges))
 
     return DecisionTree(space, classes, doc["root"], nodes)

@@ -58,15 +58,17 @@ class BruteForceOracle:
             )
         self._memo: dict[frozenset[tuple[int, frozenset[int]]], bool] = {}
 
-    def _walk(self, point: Sequence[int]) -> int:
-        node = self.tree.nodes[self.tree.root]
-        while not isinstance(node, Leaf):
+    def _walk(self, point: Sequence[int]) -> str:
+        """The id of the leaf that ``point`` reaches."""
+        nodes = self.tree.nodes
+        node_id = self.tree.root
+        while not isinstance(node := nodes[node_id], Leaf):
             value = point[node.feature]
             for edge in node.edges:
                 if value in edge.values:
-                    node = self.tree.nodes[edge.child]
+                    node_id = edge.child
                     break
-        return node.class_id
+        return node_id
 
     def _consistent_points(self, literals: Iterable[Literal]):
         allowed: dict[int, frozenset[int]] = {}
@@ -90,7 +92,8 @@ class BruteForceOracle:
         if cached is not None:
             return cached
         lits = [Literal(f, a) for f, a in key]
-        result = all(self._walk(p) == class_id for p in self._consistent_points(lits))
+        nodes, leaves = self.tree.nodes, map(self._walk, self._consistent_points(lits))
+        result = all(nodes[leaf].class_id == class_id for leaf in leaves)
         self._memo[key] = result
         return result
 

@@ -39,6 +39,8 @@ def random_tree(
     depth_limit = rng.randint(2, max_depth) if max_depth >= 2 else max_depth
 
     nodes: dict[str, Leaf | Split] = {}
+    leaves = [Leaf(c) for c in range(n_classes)]
+    cell_sets: dict[frozenset[int], frozenset[int]] = {}  # one object per set
     counter = [0]
 
     def fresh_id() -> str:
@@ -58,19 +60,19 @@ def random_tree(
             if value in allowed and value in {a for c in cells for a in c}:
                 continue
             cells[rng.randrange(n_cells)].add(value)
-        return [frozenset(c) for c in cells]
+        return [cell_sets.setdefault(c, c) for c in map(frozenset, cells)]
 
     def build(depth: int, allowed: dict[int, frozenset[int]]) -> str:
         node_id = fresh_id()
         leaf_chance = 0.06 + 0.16 * depth
         candidates = [f for f, vals in allowed.items() if len(vals) >= 2]
         if depth >= depth_limit or not candidates or rng.random() < leaf_chance:
-            nodes[node_id] = Leaf(rng.randrange(n_classes))
+            nodes[node_id] = leaves[rng.randrange(n_classes)]
             return node_id
         feature = rng.choice(candidates)
         cells = partition(feature, allowed[feature])
         if not cells:
-            nodes[node_id] = Leaf(rng.randrange(n_classes))
+            nodes[node_id] = leaves[rng.randrange(n_classes)]
             return node_id
         edges = []
         for cell in cells:

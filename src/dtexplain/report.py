@@ -163,7 +163,8 @@ def batch_report(
     files: list[str],
 ) -> tuple[list[TreeReport], list[tuple[str, str]]]:
     """One report per parseable file; parse failures are collected as
-    (file, message) entries without affecting the other rows."""
+    (file, message) entries, the message naming the file, without
+    affecting the other rows."""
     reports = []
     errors = []
     for path in files:
@@ -207,41 +208,19 @@ def render_table(
     """Aligned text table, one row per tree plus a mean row."""
     rows = [list(TABLE_COLUMNS)]
 
-    def cell(value: Fraction | None) -> str:
-        return NO_VALUE if value is None else str(display_pct(value))
-
     for r in reports:
+        pcts = [r.pct_redundant, r.pct_coverage]
+        pcts += [r.literal_pct_min, r.literal_pct_max, r.literal_pct_mean]
         rows.append(
-            [
-                r.label,
-                str(r.depth),
-                str(r.node_count),
-                str(r.path_count),
-                str(display_pct(r.pct_redundant)),
-                str(display_pct(r.pct_coverage)),
-                cell(r.literal_pct_min),
-                cell(r.literal_pct_max),
-                cell(r.literal_pct_mean),
-            ]
+            [r.label, str(r.depth), str(r.node_count), str(r.path_count)]
+            + [NO_VALUE if p is None else str(display_pct(p)) for p in pcts]
         )
     if len(reports) > 1:
         agg = aggregate_means(reports)
-
-        def agg_cell(entry) -> str:
-            return NO_VALUE if entry is None else str(entry["display"])
-
+        columns = ("depth", "node_count", "path_count", "pct_redundant", "pct_coverage")
+        means = [agg[c] for c in columns] + list(agg["redundant_literal_pct"].values())
         rows.append(
-            [
-                "(mean)",
-                agg_cell(agg["depth"]),
-                agg_cell(agg["node_count"]),
-                agg_cell(agg["path_count"]),
-                agg_cell(agg["pct_redundant"]),
-                agg_cell(agg["pct_coverage"]),
-                agg_cell(agg["redundant_literal_pct"]["min"]),
-                agg_cell(agg["redundant_literal_pct"]["max"]),
-                agg_cell(agg["redundant_literal_pct"]["mean"]),
-            ]
+            ["(mean)"] + [NO_VALUE if m is None else str(m["display"]) for m in means]
         )
     widths = [max(len(row[i]) for row in rows) for i in range(len(TABLE_COLUMNS))]
     lines = []
@@ -249,6 +228,6 @@ def render_table(
         first = row[0].ljust(widths[0])
         rest = "  ".join(row[i].rjust(widths[i]) for i in range(1, len(row)))
         lines.append(f"{first}  {rest}".rstrip())
-    for path, message in errors or []:
-        lines.append(f"error: {path}: {message}")
+    for _, message in errors or []:
+        lines.append(f"error: {message}")  # the message names the file
     return "\n".join(lines) + "\n"

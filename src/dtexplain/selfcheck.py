@@ -4,9 +4,9 @@ One call audits a whole tree: every path's redundancy verdict, extraction
 and enumeration are compared with exhaustive ground truth, and a batch of
 random instances does the same for instance-level queries.  Any
 discrepancy raises :class:`OracleMismatch`; the checks also enforce the
-node-visit bounds of the redundancy decision and of the enumeration's
-family search, and the minimality and containment guarantees of every
-explanation seen.  The CLI's ``--verify`` runs the same per-answer checks.
+node-visit bounds of the redundancy decision, of path extraction and of
+the enumeration's family search, and the minimality and containment
+guarantees of every explanation seen.  The CLI's ``--verify`` runs the same per-answer checks.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from .explain import (
     PATH_RESTRICTED,
     PATH_UNRESTRICTED,
     Explanation,
+    _extract_path,
     entails,
     is_path_redundant,
     one_pi_explanation_instance,
-    one_pi_explanation_path,
 )
 from .hitting import _candidates, _enumerate
 from .model import DecisionTree, Literal, classify, instance_literals
@@ -121,7 +121,7 @@ def check_tree(
     fast_entails = partial(entails, tree)
     stats = CheckStats(trees=1)
 
-    restricted_by_leaf: dict[str, set[frozenset[Literal]]] = {}
+    restricted_by_leaf: dict[int, set[frozenset[Literal]]] = {}
     for path in tree.paths:
         where = f"{label}/{path.path_id}"
         verdict = is_path_redundant(tree, path)
@@ -135,7 +135,13 @@ def check_tree(
             f"redundancy decision examined {verdict.node_visits} nodes, "
             f"bound is {bound}",
         )
-        extracted = one_pi_explanation_path(tree, path)
+        extracted, entered = _extract_path(tree, path)
+        bound = len(path.literals) * tree.node_count
+        _require(
+            entered <= bound,
+            where,
+            f"path extraction entered {entered} nodes, bound is {bound}",
+        )
         _require(
             extracted.literals <= path.literal_set(),
             where,
@@ -154,7 +160,7 @@ def check_tree(
             "extracted path explanation is not a PI-explanation",
         )
         _check_minimal(fast_entails, extracted.literals, path.prediction, where)
-        restricted_by_leaf[path.leaf_id] = truth
+        restricted_by_leaf[path.leaf] = truth
         stats.paths += 1
 
     for k in range(n_instances):
@@ -187,7 +193,7 @@ def check_tree(
             # literal-level statement, so it applies only when the path's
             # literals are equality literals
             _require(
-                restricted_by_leaf[path.leaf_id] <= truth,
+                restricted_by_leaf[path.leaf] <= truth,
                 where,
                 "a path-restricted explanation is missing from the "
                 "unrestricted ones",

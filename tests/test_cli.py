@@ -237,6 +237,24 @@ def test_stats_partial_failure(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "raw, reason", [(b"\xff\xfe{}", "not UTF-8"), (b"{", "invalid JSON at line")]
+)
+def test_stats_names_a_bad_file_once(capsys, tmp_path, raw, reason):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    code, out, err = invoke(capsys, "stats", "-t", str(bad), fixture_path("or_tree"))
+    assert code == 2
+    row = next(line for line in out.splitlines() if line.startswith("error: "))
+    assert row.startswith(f"error: {bad}: {reason}") and row.count(str(bad)) == 1
+    assert err.startswith(f"dtexplain: error: {bad}: {reason}")
+    assert err.count(str(bad)) == 1
+    code, out, _ = invoke(capsys, "stats", "-t", str(bad), "--format", "json")
+    assert code == 2
+    (entry,) = json.loads(out)
+    assert entry["file"] == str(bad) and entry["error"].count(str(bad)) == 1
+
+
+@pytest.mark.parametrize(
     "command, single, listed",
     [
         ("classify", ["-i", '["1", "1", "1", "1"]'], ["--instances", "ONE_ROW"]),

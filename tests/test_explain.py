@@ -30,27 +30,34 @@ def lits(tree, *pairs):
     ]
 
 
-def allowed_map(literals):
-    return {lit.feature: lit.allowed for lit in literals}
+def allowed_masks(tree, literals):
+    """The lowered lookup's argument: one value mask per feature, the
+    whole domain for a feature without a literal."""
+    masks = [(1 << len(f.domain)) - 1 for f in tree.space.features]
+    for lit in literals:
+        masks[lit.feature] = sum(1 << v for v in lit.allowed)
+    return masks
 
 
 # -- contrary-leaf lookup -------------------------------------------------------
 
 
-def test_chk_down_finds_contrary_leaf_when_x4_free():
+def test_contrary_leaf_found_when_x4_free():
     tree = load_tree("or_of_ands")
     kept = lits(tree, ("x1", 1), ("x2", 0), ("x3", 1))
     # entry at the sibling edge of P2's x4 test: the x4=0 leaf
-    assert _contrary_leaf(tree, "l5", 1, allowed_map(kept)) == (True, 1)
+    l5 = tree._ids.index("l5")
+    assert _contrary_leaf(tree, l5, 1, allowed_masks(tree, kept)) == (True, 1)
     # from the root, P2 with x4 free reaches that leaf too
     assert not entails(tree, kept, 1)
 
 
-def test_chk_down_blocked_when_x2_free():
+def test_contrary_leaf_blocked_when_x2_free():
     tree = load_tree("or_of_ands")
     kept = lits(tree, ("x1", 1), ("x3", 1), ("x4", 1))
     # entry at the sibling edge of P2's x2 test: the x2=1 leaf (same class)
-    assert _contrary_leaf(tree, "l7", 1, allowed_map(kept)) == (False, 1)
+    l7 = tree._ids.index("l7")
+    assert _contrary_leaf(tree, l7, 1, allowed_masks(tree, kept)) == (False, 1)
     # from the root, P2 with x2 free still forces class 1
     assert entails(tree, kept, 1)
 

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -331,6 +332,115 @@ def test_mutated_documents_fail_only_as_tree_format_errors(name, data):
     assert code in (0, 2)
 
 
+def _random_doc(rng, domains, n_classes, max_depth):
+    """A valid document over features ``x0, x1, ...`` with the given domain
+    sizes: multi-value edges, re-tested features, random leaf classes."""
+    features = [
+        {"name": f"x{f}", "domain": [f"v{v}" for v in range(size)]}
+        for f, size in enumerate(domains)
+    ]
+    classes = [f"c{k}" for k in range(n_classes)]
+    nodes = {}
+
+    def build(depth, allowed):  # allowed: value indices left per feature
+        node_id = f"n{len(nodes)}"
+        nodes[node_id] = None  # reserves the id
+        splittable = [f for f, values in enumerate(allowed) if len(values) > 1]
+        if depth == max_depth or not splittable or rng.random() < 0.2:
+            nodes[node_id] = {"leaf": rng.choice(classes)}
+            return node_id
+        f = rng.choice(splittable)
+        # every cell keeps one value still allowed, so no leaf is unreachable
+        anchors = rng.sample(allowed[f], rng.randint(2, min(5, len(allowed[f]))))
+        cells = [[a] for a in anchors]
+        for v in range(domains[f]):
+            if v not in anchors:
+                cells[rng.randrange(len(cells))].append(v)
+        edges = []
+        for cell in cells:
+            narrowed = [v for v in allowed[f] if v in cell]
+            child = build(depth + 1, allowed[:f] + [narrowed] + allowed[f + 1 :])
+            edges.append({"values": [f"v{v}" for v in sorted(cell)], "child": child})
+        nodes[node_id] = {"feature": f"x{f}", "edges": edges}
+        return node_id
+
+    build(0, [list(range(size)) for size in domains])
+    return {"features": features, "classes": classes, "root": "n0", "nodes": nodes}
+
+
+def _chain_doc(rng, depth):
+    """A caterpillar over binary features: node ``k`` tests ``x<k>`` and
+    leaves by one value, the last node by both."""
+    nodes = {}
+    for k in range(depth):
+        stop, go = rng.sample(["0", "1"], 2)
+        nxt = f"n{k + 1}" if k + 1 < depth else f"l{k + 1}"
+        nodes[f"n{k}"] = {
+            "feature": f"x{k}",
+            "edges": [{"values": [stop], "child": f"l{k}"}, {"values": [go], "child": nxt}],
+        }
+        nodes[f"l{k}"] = {"leaf": rng.choice(["0", "1"])}
+    nodes[f"l{depth}"] = {"leaf": rng.choice(["0", "1"])}
+    return {
+        "features": [{"name": f"x{k}", "domain": ["0", "1"]} for k in range(depth)],
+        "classes": ["0", "1"],
+        "root": "n0",
+        "nodes": nodes,
+    }
+
+
+_SHAPES = {
+    # masks wider than 64 bits
+    "huge_domain": lambda rng: _random_doc(rng, [240, 3, 2], 2, 4),
+    "many_classes": lambda rng: _random_doc(rng, [4, 3, 3, 2], 12, 5),
+    "deep_chain": lambda rng: _chain_doc(rng, 1600),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+@given(seed=st.integers(0, 2**32), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_mutated_large_documents_fail_only_as_tree_format_errors(shape, seed, data):
+    """The schema fuzzer on generated documents with huge domains, many
+    classes or deep chains; a tree that parses and fits the oracle's
+    budget answers entailment and instance extraction as the oracle does."""
+    from dtexplain import (
+        BruteForceOracle,
+        OracleBudget,
+        entails,
+        instance_literals,
+        one_pi_explanation_instance,
+    )
+
+    rng = random.Random(seed)
+    doc = _SHAPES[shape](rng)
+    point = json.dumps([rng.choice(f["domain"]) for f in doc["features"]])
+    text = json.dumps(mutate(doc, lambda n: data.draw(st.integers(0, n - 1))))
+    try:
+        tree = parse_tree(text)
+    except TreeFormatError:
+        tree = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tree.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = run(["explain", "-t", path, "-i", point])
+    assert 0 <= code <= 4
+    if tree is None or tree.space.point_count() > OracleBudget().max_points:
+        return
+    oracle = BruteForceOracle(tree)
+    instance = tuple(rng.randrange(len(f.domain)) for f in tree.space.features)
+    target, _ = classify(tree, instance)
+    equality = instance_literals(tree.space, instance)
+    for skip in range(-1, len(equality)):  # -1 keeps the full set
+        subset = [lit for i, lit in enumerate(equality) if i != skip]
+        assert entails(tree, subset, target) == oracle.entails(subset, target)
+    found = one_pi_explanation_instance(tree, instance).literals
+    assert oracle.entails(found, target)
+    assert not any(oracle.entails(found - {lit}, target) for lit in found)
+
+
 # -- classification -----------------------------------------------------------
 
 
@@ -372,6 +482,25 @@ def test_classify_determinism(name):
         assert len(consistent) == 1
         _, path = classify(tree, point)
         assert path is consistent[0]
+
+
+@pytest.mark.parametrize("source", ["fixtures", "random_tree(0..49)"])
+def test_classify_matches_the_oracle_walker(source):
+    """The lowered classify and the oracle's walk over ``tree.nodes`` send
+    every point of the space to the same leaf."""
+    from dtexplain import BruteForceOracle, random_tree
+
+    if source == "fixtures":
+        trees = [load_tree(name) for name in FIXTURE_NAMES]
+    else:
+        trees = [random_tree(seed) for seed in range(50)]
+    for tree in trees:
+        oracle = BruteForceOracle(tree)
+        for point in tree.space.points():
+            class_id, path = classify(tree, point)
+            leaf_id = oracle._walk(point)
+            assert path.leaf_id == leaf_id
+            assert class_id == tree.nodes[leaf_id].class_id
 
 
 # -- path enumeration ---------------------------------------------------------
