@@ -71,9 +71,6 @@ class Explanation:
     mode: str | None = None
     source: str | tuple | None = None
 
-    def features(self) -> frozenset[int]:
-        return frozenset(lit.feature for lit in self.literals)
-
     def sorted_literals(self) -> list[Literal]:
         return sorted(self.literals, key=Literal.sort_key)
 

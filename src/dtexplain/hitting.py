@@ -16,8 +16,10 @@ the conflict set down as an int bitmask over the candidates and skips
 every subtree whose mask already contains a member it found.  Each
 candidate's remaining values are an int value mask too, indexed by
 feature; features outside the candidates are free and never narrowed.
-:func:`build_hitting_sets` still lists one member per contrary path, for
-inspection.
+Berge's incremental loop, :func:`_minimal_hitting_masks`, then
+enumerates the minimal hitting sets on int masks; it needs no separate
+minimisation of the family.  :func:`build_hitting_sets` still lists one
+member per contrary path, for inspection.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ def build_hitting_sets(
     universe, target, _ = _candidates(tree, source, mode)
     position = {lit.feature: (i, lit.allowed) for i, lit in enumerate(universe)}
     sets = []
-    for contrary in tree.contrary_paths(target):
+    for contrary in (p for p in tree.paths if p.prediction != target):
         members = []
         for lit in contrary.literals:
             candidate = position.get(lit.feature)
@@ -196,38 +198,32 @@ def _contrary_family(
 
 
 def _minimal_hitting_masks(family: list[int]) -> list[int]:
-    """All subset-minimal hitting sets of a family of int bitmasks.
+    """All subset-minimal hitting sets of a family of int bitmasks, by
+    Berge's loop (Berge, *Hypergraphs*, 1989).
 
-    Branches on the first unhit set, never re-adding an element a sibling
-    branch already covered, prunes supersets of found answers, and keeps
-    a hitting set if each element is critical (alone hits some set).  An
-    explicit stack in preorder keeps set size free of recursion limits.
+    Starting from the empty set, each member in turn keeps every partial
+    set that hits it and extends each one that misses it by each of its
+    elements; only the inclusion-minimal sets are kept.  No extension
+    lies inside a partial set that hit the member, so only the extensions
+    are checked, smallest first.  Duplicate or superset members change
+    nothing.
     """
-    found: list[int] = []
-    # (candidate, banned); children are pushed in reverse so they pop in
-    # order, each after its earlier siblings' subtrees are done
-    stack = [(0, 0)]
-    while stack:
-        current, banned = stack.pop()
-        if any(prior & current == prior for prior in found):
-            continue
-        unhit = next((s for s in family if not s & current), None)
-        if unhit is None:
-            critical = 0
-            for meet in (s & current for s in family):
-                if not meet & (meet - 1):
-                    critical |= meet
-            if critical == current:
-                found.append(current)
-            continue
-        children = []
-        free = unhit & ~banned
-        for i in range(free.bit_length()):
-            if free >> i & 1:
-                children.append((current | 1 << i, banned))
-                banned |= 1 << i
-        stack.extend(reversed(children))
-    return found
+    partial = [0]
+    for member in family:
+        kept = [t for t in partial if t & member]
+        grown = set()
+        for t in partial:
+            if not t & member:
+                rest = member
+                while rest:
+                    low = rest & -rest
+                    grown.add(t | low)
+                    rest ^= low
+        for t in sorted(grown, key=lambda m: (m.bit_count(), m)):
+            if not any(k & t == k for k in kept):
+                kept.append(t)
+        partial = kept
+    return partial
 
 
 def enumerate_mhs(
@@ -235,18 +231,14 @@ def enumerate_mhs(
 ) -> list[frozenset[Literal]]:
     """All minimal hitting sets of the family, as literal sets.
 
-    The search runs on the distinct inclusion-minimal members, smallest
-    first.  The output is sorted by (cardinality, universe indices) and
-    cut at ``limit`` if given; that order needs every set, so the search
-    is always complete (it is cheap on the minimised family).  An empty
-    family has exactly the empty set as its sole answer.
+    Berge's loop runs on the distinct members, smallest first, so the
+    partial sets stay small.  The output is sorted by (cardinality,
+    universe indices) and cut at ``limit`` if given; that order needs
+    every set, so the search is always complete.  An empty family has
+    exactly the empty set as its sole answer.
     """
-    distinct = {members for _, members in instance.sets}
-    masks = {sum(1 << i for i in members) for members in distinct}
-    family: list[int] = []
-    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
-        if not any(kept & mask == kept for kept in family):
-            family.append(mask)
+    masks = {sum(1 << i for i in members) for _, members in instance.sets}
+    family = sorted(masks, key=lambda m: (m.bit_count(), m))
     found = [
         [i for i in range(len(instance.universe)) if mask >> i & 1]
         for mask in _minimal_hitting_masks(family)

@@ -362,18 +362,6 @@ class TreePath:
             yield node, child
             child = node
 
-    def tests(self) -> Iterator[tuple[str, str, frozenset[int] | None]]:
-        """:meth:`steps` as ``(node_id, child_id, above)``, where ``above``
-        is the node feature's allowed set on entry when a shallower node
-        of the path tests it too (None at its shallowest test)."""
-        ids, above = self.tree._ids, self.tree._above
-        for node, child in self.steps():
-            yield ids[node], ids[child], _bits(above[node]) if above[node] else None
-
-    @property
-    def literal_map(self) -> dict[int, frozenset[int]]:
-        return {lit.feature: lit.allowed for lit in self.literals}
-
     def literal_set(self) -> frozenset[Literal]:
         return frozenset(self.literals)
 
@@ -588,10 +576,6 @@ class DecisionTree:
         except KeyError:
             raise PathMismatchError(f"no path named {path_id!r}") from None
 
-    def contrary_paths(self, class_id: int) -> tuple[TreePath, ...]:
-        """Paths predicting any class other than ``class_id``."""
-        return tuple(p for p in self._paths if p.prediction != class_id)
-
     def class_id(self, name: str) -> int:
         try:
             return self.classes.index(name)
@@ -646,8 +630,8 @@ def path_point_count(space: FeatureSpace, literals: Iterable[Literal]) -> int:
 _ORDINAL_KEYS = {"op", "operator", "threshold", "cmp", "split"}
 
 
-def _require_keys(obj: Mapping, keys: set[str], what: str) -> None:
-    if not isinstance(obj, Mapping):
+def _require_keys(obj: dict, keys: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
         raise TreeSchemaError(f"{what} must be a JSON object")
     extra = set(obj) - keys
     if extra & _ORDINAL_KEYS:
@@ -702,14 +686,14 @@ def parse_tree(text: str) -> DecisionTree:
 
     if not isinstance(doc["root"], str):
         raise TreeSchemaError("'root' must be a node id string")
-    if not isinstance(doc["nodes"], Mapping):
+    if not isinstance(doc["nodes"], dict):
         raise TreeSchemaError("'nodes' must be an object")
 
     nodes: dict[str, Node] = {}
     leaves = [Leaf(c) for c in range(len(classes))]
     value_sets: dict[frozenset[int], frozenset[int]] = {}  # one object per set
     for node_id, obj in doc["nodes"].items():
-        if not isinstance(obj, Mapping):
+        if not isinstance(obj, dict):
             raise TreeSchemaError(f"node {node_id!r} must be a JSON object")
         if "leaf" in obj:
             _require_keys(obj, {"leaf"}, f"leaf node {node_id!r}")

@@ -151,9 +151,7 @@ def tree_report(tree: DecisionTree, label: str = "tree") -> TreeReport:
         pct_coverage=Fraction(100 * covered, total),
         literal_pct_min=min(literal_pcts) if literal_pcts else None,
         literal_pct_max=max(literal_pcts) if literal_pcts else None,
-        literal_pct_mean=(
-            sum(literal_pcts, Fraction(0)) / len(literal_pcts) if literal_pcts else None
-        ),
+        literal_pct_mean=_mean(literal_pcts),
         details=tuple(details),
         tree=tree,
     )

@@ -26,7 +26,7 @@ from .explain import (
 )
 from .hitting import _candidates, _enumerate
 from .model import DecisionTree, Literal, classify, instance_literals
-from .oracle import BruteForceOracle, OracleBudget
+from .oracle import BruteForceOracle
 from .randtree import random_instance
 
 __all__ = ["OracleMismatch", "CheckStats", "check_tree"]
@@ -113,11 +113,10 @@ def check_tree(
     tree: DecisionTree,
     rng: random.Random,
     n_instances: int = 50,
-    budget: OracleBudget | None = None,
     label: str = "tree",
 ) -> CheckStats:
     """Compare every fast operation on ``tree`` with the oracle."""
-    oracle = BruteForceOracle(tree, budget or OracleBudget())
+    oracle = BruteForceOracle(tree)
     fast_entails = partial(entails, tree)
     stats = CheckStats(trees=1)
 

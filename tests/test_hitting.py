@@ -1,7 +1,9 @@
 """Hitting-set construction and minimal-hitting-set enumeration."""
 
+import ast
 import dataclasses
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES, literal_names, load_tree
 
+import dtexplain
 from dtexplain import (
     BruteForceOracle,
     HittingSetError,
@@ -181,7 +184,7 @@ def brute_force_mhs(n, index_sets):
 @settings(max_examples=120, deadline=None)
 def test_mhs_matches_brute_force(n, data):
     # a dozen sets over at most eight elements: duplicates and strict
-    # supersets are common, so the family's minimisation is exercised
+    # supersets are common, which Berge's loop must absorb unminimised
     sets = data.draw(
         st.lists(
             st.sets(st.integers(0, n - 1), min_size=1).map(frozenset),
@@ -200,6 +203,29 @@ def test_mhs_matches_brute_force(n, data):
         tuple(sorted(lit.feature for lit in s)) for s in enumerate_mhs(hs)
     ]
     assert ordered == sorted(ordered, key=lambda t: (len(t), t))
+
+
+BENCH_MODULES = {"bench", "refcheck", "gen", "tracing", "workloads"}
+
+
+def test_package_imports_nothing_from_bench():
+    """bench/refcheck.py checks enumeration with its own Berge transversals;
+    the package must not borrow them (or any other bench module)."""
+    package = pathlib.Path(dtexplain.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for module in modules:
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in BENCH_MODULES, (
+                    f"{module.name} imports {name}"
+                )
 
 
 def contrastive_index_sets(oracle, universe, target):

@@ -522,7 +522,9 @@ def test_or_of_ands_path_listing():
     assert [p.path_id for p in tree.paths if p.prediction == 0] == [
         "Q1", "Q2", "Q3", "Q4"
     ]
-    assert [p.path_id for p in tree.contrary_paths(1)] == ["Q1", "Q2", "Q3", "Q4"]
+    assert [p.path_id for p in tree.paths if p.prediction != 1] == [
+        "Q1", "Q2", "Q3", "Q4"
+    ]
 
 
 def test_repeated_feature_aggregates_by_intersection():
@@ -530,9 +532,11 @@ def test_repeated_feature_aggregates_by_intersection():
     p1 = tree.path("P1")
     assert literal_names(tree, p1.literals) == {"x1=a"}
     # both tests of x1, deepest first; the deeper one is entered with x1
-    # already narrowed to {a, b}
-    assert list(p1.tests()) == [("n1", "t2", frozenset({0, 1})), ("n0", "n1", None)]
-    assert [tree.nodes[n].feature for n, _, _ in p1.tests()] == [0, 0]
+    # already narrowed to {a, b} (mask 0b11), the shallower with no mask
+    ids, above = tree._ids, tree._above
+    steps = [(ids[n], ids[c], above[n]) for n, c in p1.steps()]
+    assert steps == [("n1", "t2", 0b11), ("n0", "n1", 0)]
+    assert [tree.nodes[n].feature for n, _, _ in steps] == [0, 0]
     q1 = tree.path("Q1")
     assert literal_names(tree, q1.literals) == {"x1=b"}
 
@@ -549,8 +553,8 @@ def test_pairwise_path_inconsistency(name):
     tree = load_tree(name)
     for i, a in enumerate(tree.paths):
         for b in tree.paths[i + 1 :]:
-            amap = a.literal_map
-            bmap = b.literal_map
+            amap = {lit.feature: lit.allowed for lit in a.literals}
+            bmap = {lit.feature: lit.allowed for lit in b.literals}
             assert any(
                 not (amap[f] & bmap[f]) for f in set(amap) & set(bmap)
             ), f"{a.path_id} and {b.path_id} are consistent"
