@@ -23,8 +23,13 @@ examines each tree node at most once, which is the node-visit bound.
 
 Extraction of one PI-explanation is greedy: each candidate feature in turn
 is dropped when, with every previously dropped feature still universal, a
-lookup from the root finds no contrary leaf.  Every drop is therefore an
-entailment test of the literals kept.
+lookup finds no contrary leaf.  Every drop is therefore an entailment test
+of the literals kept.  A lookup starts on the source's path, at the
+shallower of the tried feature's shallowest test and the start of the last
+accepted drop.  Every feature tested above that node is kept and allows
+only its taken edge's values, so every consistent point takes the path's
+edges down to it, and a lookup from the root narrows nothing on the way
+(``step == entry``): its state at the start node is the same.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .model import (
     Instance,
     Literal,
     TreePath,
-    _mask,
     classify,
     instance_literals,
 )
@@ -145,7 +149,7 @@ def _allowed(tree: DecisionTree, literals: Iterable[Literal]) -> list[int]:
         if lit.feature in seen:
             raise ValueError(f"more than one literal for feature index {lit.feature}")
         seen.add(lit.feature)
-        allowed[lit.feature] = _mask(lit.allowed)
+        allowed[lit.feature] = lit.mask
     return allowed
 
 
@@ -198,23 +202,37 @@ def _greedy(
     literals: tuple[Literal, ...],
     order: Iterable[int],
     target: int,
+    leaf: int,
 ) -> tuple[frozenset[Literal], int]:
     """Drop each feature of ``order`` in turn from ``literals`` when the
     rest still leaves every contrary leaf unreachable; the literals that
     stay form a PI-explanation.  Also returns the number of nodes the
-    lookups entered."""
+    lookups entered.
+
+    Each lookup starts on the path to ``leaf``, the source's leaf, at the
+    shallower of the tried feature's shallowest test and the start of the
+    last accepted drop (at the leaf if neither exists).  Features tested
+    above it are kept, so every consistent point follows the path there
+    and the lookup would narrow nothing on the way down from the root.
+    """
+    chain = [leaf]  # the path's nodes, deepest first
+    while (node := tree._parent[chain[-1]]) >= 0:
+        chain.append(node)
+    top = {tree._feature[node]: k for k, node in enumerate(chain)}
     allowed = _allowed(tree, literals)
     dropped = set()
-    entered = 0
+    entered = last = 0
     for feature in order:
+        start = max(top.get(feature, 0), last)
         values = allowed[feature]
         allowed[feature] = tree._full[feature]
-        found, examined = _contrary_leaf(tree, 0, target, allowed)
+        found, examined = _contrary_leaf(tree, chain[start], target, allowed)
         entered += examined
         if found:
             allowed[feature] = values
         else:
             dropped.add(feature)
+            last = start
     return frozenset(lit for lit in literals if lit.feature not in dropped), entered
 
 
@@ -223,7 +241,7 @@ def _extract_path(tree: DecisionTree, path: TreePath) -> tuple[Explanation, int]
     lookups entered."""
     tree.check_owns(path)
     order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
-    literals, entered = _greedy(tree, path.literals, order, path.prediction)
+    literals, entered = _greedy(tree, path.literals, order, path.prediction, path.leaf)
     found = Explanation(literals, path.prediction, PATH_RESTRICTED, path.path_id)
     return found, entered
 
@@ -245,11 +263,11 @@ def one_pi_explanation_instance(tree: DecisionTree, instance: Instance) -> Expla
     deterministic representative among the (possibly several) valid
     PI-explanations.
     """
-    target, _ = classify(tree, instance)
+    target, path = classify(tree, instance)
     literals = instance_literals(tree.space, instance)
     order = range(len(literals) - 1, -1, -1)
     return Explanation(
-        literals=_greedy(tree, literals, order, target)[0],
+        literals=_greedy(tree, literals, order, target, path.leaf)[0],
         target=target,
         mode=PATH_UNRESTRICTED,
         source=tuple(instance),

@@ -32,7 +32,6 @@ from .model import (
     Literal,
     TreePath,
     _bits,
-    _mask,
     classify,
     instance_literals,
 )
@@ -146,7 +145,7 @@ def _contrary_family(
     running = [0] * len(tree.space)  # a candidate's remaining value mask
     for i, lit in enumerate(universe):
         bit_of[lit.feature] = 1 << i
-        running[lit.feature] = _mask(lit.allowed)
+        running[lit.feature] = lit.mask
     feature_of, leaf_class, children = tree._feature, tree._class, tree._children
     family: dict[int, str] = {}
     entered = 0

@@ -15,6 +15,7 @@ threads.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -201,24 +202,28 @@ class FeatureSpace:
 Instance = tuple  # value index per feature, in feature order
 
 
+def _check_point(space: FeatureSpace, point: Instance) -> None:
+    """Raise InstanceError unless ``point`` holds one in-domain value index
+    per feature."""
+    if len(point) != len(space):
+        raise InstanceError(f"expected {len(space)} values, got {len(point)}")
+    for feat, val in zip(space.features, point):
+        if not (isinstance(val, int) and 0 <= val < len(feat.domain)):
+            raise InstanceError(
+                f"value index {val!r} out of range for feature {feat.name!r}"
+            )
+
+
 def make_instance(space: FeatureSpace, values: Sequence) -> Instance:
     """Validate a sequence of value names (or indices) as a space point."""
     if len(values) != len(space):
-        raise InstanceError(
-            f"expected {len(space)} values, got {len(values)}"
-        )
-    out = []
-    for feat, val in zip(space.features, values):
-        if isinstance(val, str):
-            idx = feat.value_index(val)
-        else:
-            idx = int(val)
-            if not 0 <= idx < len(feat.domain):
-                raise InstanceError(
-                    f"value index {idx} out of range for feature {feat.name!r}"
-                )
-        out.append(idx)
-    return tuple(out)
+        raise InstanceError(f"expected {len(space)} values, got {len(values)}")
+    point = tuple(
+        feat.value_index(val) if isinstance(val, str) else val
+        for feat, val in zip(space.features, values)
+    )
+    _check_point(space, point)
+    return point
 
 
 def parse_instance_json(space: FeatureSpace, text: str) -> Instance:
@@ -264,20 +269,24 @@ def read_instances_csv(space: FeatureSpace, path: str) -> list[Instance]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A feature paired with the set of values it is allowed to take.
 
     An equality literal has a singleton allowed set; a negated or
-    generalized literal allows several values of the domain.
+    generalized literal allows several values of the domain.  ``mask`` is
+    the allowed set as an int value mask (bit ``v`` for value index
+    ``v``), built once here; it takes no part in equality or hashing.
     """
 
     feature: int
     allowed: frozenset[int]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.allowed:
             raise InconsistentLiteralsError("literal with empty allowed set")
+        object.__setattr__(self, "mask", _mask(self.allowed))
 
     def sort_key(self) -> tuple:
         return (self.feature, tuple(sorted(self.allowed)))
@@ -303,12 +312,19 @@ def _bits(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+@functools.cache
+def _equality_literal(feature: int, value: int) -> Literal:
+    """One literal per (feature, value) index pair, shared by every space.
+    Callers check the point first, so the cache holds at most (widest
+    space) x (largest domain) entries."""
+    return Literal(feature, frozenset({value}))
+
+
 def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ...]:
-    """The equality literals of a point, one per feature in feature order."""
-    return tuple(
-        Literal(feat.index, frozenset({value}))
-        for feat, value in zip(space.features, point)
-    )
+    """The equality literals of a point, one per feature in feature order;
+    equal points get the same literal objects."""
+    _check_point(space, point)
+    return tuple(map(_equality_literal, range(len(point)), point))
 
 
 @dataclass(frozen=True)
@@ -522,17 +538,19 @@ class DecisionTree:
             feats = tuple(map(_feature_of, lits))
             k = feats.index(f) if f in feats else None
             if k is not None:
-                above[i] = _mask(lits[k].allowed)
+                above[i] = lits[k].mask
             kids = []
             # push in reverse so edges pop in declaration order
             for e in range(len(node.edges) - 1, -1, -1):
                 j, values = len(ids), node.edges[e].values
                 ids.append(node.edges[e].child)
                 parent[j] = i
-                kids.append((j, _mask(values)))
                 if k is None:
-                    child_lits = lits + (Literal(f, values),)
+                    lit = Literal(f, values)
+                    kids.append((j, lit.mask))
+                    child_lits = lits + (lit,)
                 else:
+                    kids.append((j, _mask(values)))
                     narrowed = lits[k].allowed & values
                     if not narrowed:
                         empty = empty or (ids[i], e, f)
@@ -591,15 +609,7 @@ class DecisionTree:
 
 def classify(tree: DecisionTree, instance: Instance) -> tuple[int, TreePath]:
     """Route an instance to its unique leaf; returns (class id, path)."""
-    if len(instance) != len(tree.space):
-        raise InstanceError(
-            f"expected {len(tree.space)} values, got {len(instance)}"
-        )
-    for feat, val in zip(tree.space.features, instance):
-        if not 0 <= val < len(feat.domain):
-            raise InstanceError(
-                f"value index {val} out of range for feature {feat.name!r}"
-            )
+    _check_point(tree.space, instance)
     feature, children = tree._feature, tree._children
     node = 0
     while (f := feature[node]) >= 0:
@@ -616,7 +626,7 @@ def path_point_count(space: FeatureSpace, literals: Iterable[Literal]) -> int:
     """Exact number of space points consistent with a literal set."""
     allowed = [(1 << len(f.domain)) - 1 for f in space.features]
     for lit in literals:
-        allowed[lit.feature] &= _mask(lit.allowed)
+        allowed[lit.feature] &= lit.mask
     if 0 in allowed:
         name = space.feature(allowed.index(0)).name
         raise InconsistentLiteralsError(

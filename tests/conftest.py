@@ -1,6 +1,15 @@
 import pathlib
 
-from dtexplain import DecisionTree, parse_tree_file
+from dtexplain import (
+    DecisionTree,
+    Edge,
+    FeatureSpace,
+    Leaf,
+    OracleBudget,
+    Split,
+    parse_tree_file,
+    random_tree,
+)
 
 FIXTURE_DIR = pathlib.Path(__file__).parent / "fixtures"
 
@@ -28,3 +37,29 @@ def load_tree(name: str) -> DecisionTree:
 def literal_names(tree, literals) -> frozenset[str]:
     """Render a literal collection as a set of 'feature=value' strings."""
     return frozenset(lit.render(tree.space) for lit in literals)
+
+
+def oversized_trees():
+    """Six random trees whose feature space the brute-force oracle refuses."""
+    budget = OracleBudget().max_points
+    trees = (
+        random_tree(seed, max_features=12, max_domain=5, max_depth=6)
+        for seed in range(200)
+    )
+    oversized = [t for t in trees if t.space.point_count() > budget][:6]
+    assert len(oversized) == 6
+    return oversized
+
+
+def or_chain_tree(depth: int) -> DecisionTree:
+    """x1 or ... or x<depth> over binary features: node c<k> tests
+    x<k+1>; value 1 leads to a class-1 leaf, value 0 to the next test,
+    the last of which leads to the only class-0 leaf."""
+    space = FeatureSpace.from_pairs((f"x{k + 1}", ("0", "1")) for k in range(depth))
+    nodes = {"none": Leaf(0)}
+    for k in range(depth):
+        nxt = f"c{k + 1}" if k + 1 < depth else "none"
+        edges = (Edge(frozenset({0}), nxt), Edge(frozenset({1}), f"hit{k + 1}"))
+        nodes[f"c{k}"] = Split(k, edges)
+        nodes[f"hit{k + 1}"] = Leaf(1)
+    return DecisionTree(space, ("0", "1"), "c0", nodes)

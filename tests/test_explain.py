@@ -1,11 +1,18 @@
 """Redundancy decision, extraction, entailment."""
 
 import json
+import random
 import tracemalloc
 
 import pytest
 
-from conftest import FIXTURE_NAMES, literal_names, load_tree
+from conftest import (
+    FIXTURE_NAMES,
+    literal_names,
+    load_tree,
+    or_chain_tree,
+    oversized_trees,
+)
 
 from dtexplain import (
     BruteForceOracle,
@@ -14,13 +21,16 @@ from dtexplain import (
     RedundancyResult,
     classify,
     entails,
+    instance_literals,
     is_path_redundant,
     one_pi_explanation_instance,
     one_pi_explanation_path,
     parse_tree_file,
+    random_instance,
+    random_tree,
 )
 from dtexplain.cli import run
-from dtexplain.explain import _contrary_leaf
+from dtexplain.explain import _contrary_leaf, _extract_path, _greedy
 
 
 def lits(tree, *pairs):
@@ -240,6 +250,59 @@ def test_extractions_minimal_and_contained(name):
             rest = explanation.literals - {lit}
             assert not entails(tree, rest, path.prediction)
             assert not BruteForceOracle(tree).entails(rest, path.prediction)
+
+
+def root_start_greedy(tree, literals, order, target):
+    """The greedy extraction with every lookup started at the root."""
+    allowed = allowed_masks(tree, literals)
+    dropped, entered = set(), 0
+    for feature in order:
+        values = allowed[feature]
+        allowed[feature] = (1 << len(tree.space.feature(feature).domain)) - 1
+        found, examined = _contrary_leaf(tree, 0, target, allowed)
+        entered += examined
+        if found:
+            allowed[feature] = values
+        else:
+            dropped.add(feature)
+    return frozenset(lit for lit in literals if lit.feature not in dropped), entered
+
+
+def assert_path_start_matches_root_start(tree):
+    """Lookups started on the source's path drop exactly the features that
+    root-started lookups drop, and enter no more nodes."""
+    for path in tree.paths:
+        order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
+        want, most = root_start_greedy(tree, path.literals, order, path.prediction)
+        found, entered = _extract_path(tree, path)
+        assert found.literals == want
+        assert entered <= most
+    rng = random.Random(30)
+    for _ in range(30):
+        point = random_instance(tree.space, rng)
+        target, path = classify(tree, point)
+        literals = instance_literals(tree.space, point)
+        order = range(len(literals) - 1, -1, -1)
+        want, most = root_start_greedy(tree, literals, order, target)
+        found, entered = _greedy(tree, literals, order, target, path.leaf)
+        assert found == want == one_pi_explanation_instance(tree, point).literals
+        assert entered <= most
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [pytest.param(load_tree(name), id=name) for name in FIXTURE_NAMES]
+    + [pytest.param(or_chain_tree(60), id="or_chain-60")],
+)
+def test_path_start_lookups_match_root_start(tree):
+    assert_path_start_matches_root_start(tree)
+
+
+def test_path_start_lookups_match_root_start_on_random_trees():
+    for seed in range(200):
+        assert_path_start_matches_root_start(random_tree(seed))
+    for tree in oversized_trees():
+        assert_path_start_matches_root_start(tree)
 
 
 # -- entailment -------------------------------------------------------------------

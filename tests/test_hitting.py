@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_NAMES, literal_names, load_tree
+from conftest import FIXTURE_NAMES, literal_names, load_tree, oversized_trees
 
 import dtexplain
 from dtexplain import (
@@ -18,7 +18,6 @@ from dtexplain import (
     HittingSetError,
     HittingSetInstance,
     Literal,
-    OracleBudget,
     PATH_RESTRICTED,
     PATH_UNRESTRICTED,
     build_hitting_sets,
@@ -335,18 +334,6 @@ def test_one_explanation_is_member_of_enumeration(name):
             e.literals for e in enumerate_pi_explanations(tree, path, PATH_RESTRICTED)
         }
         assert one.literals in everything
-
-
-def oversized_trees():
-    """Six random trees whose feature space the brute-force oracle refuses."""
-    budget = OracleBudget().max_points
-    trees = (
-        random_tree(seed, max_features=12, max_domain=5, max_depth=6)
-        for seed in range(200)
-    )
-    oversized = [t for t in trees if t.space.point_count() > budget][:6]
-    assert len(oversized) == 6
-    return oversized
 
 
 def test_layers_agree_beyond_the_oracle_budget():

@@ -1,9 +1,11 @@
 """Tree model: parsing, validation, classification, paths, counting."""
 
+import ast
 import copy
 import io
 import json
 import os
+import pathlib
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURE_NAMES, fixture_path, literal_names, load_tree
 
+import dtexplain
 from dtexplain import (
     CycleError,
     DanglingChildError,
@@ -33,6 +36,7 @@ from dtexplain import (
     UnreachableLeafError,
     UnsupportedLiteralError,
     classify,
+    instance_literals,
     make_instance,
     parse_instance_json,
     parse_tree,
@@ -41,6 +45,7 @@ from dtexplain import (
     serialize_tree,
 )
 from dtexplain.cli import run
+from dtexplain.model import _mask
 
 
 def doc(**overrides):
@@ -468,6 +473,33 @@ def test_classify_bad_instance():
         classify(tree, (0, 7))
 
 
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ((0,), "expected 3 values, got 1"),
+        ((0, 0, 7), "value index 7 out of range for feature 'Wind'"),
+        ((0, -1, 0), "value index -1 out of range for feature 'Outlook'"),
+        ((0, "sunny", 0), "value index 'sunny' out of range for feature 'Outlook'"),
+    ],
+    ids=["one-value", "past-the-domain", "negative", "not-an-index"],
+)
+def test_instance_literals_rejects_bad_points(point, message):
+    """A point of the wrong length or with a value index outside its
+    feature's domain gets no literals, as classify gets no leaf."""
+    tree = load_tree("play_tennis")
+    with pytest.raises(InstanceError, match=message):
+        instance_literals(tree.space, point)
+    with pytest.raises(InstanceError, match=message):
+        classify(tree, point)
+
+
+def test_make_instance_rejects_a_fractional_index():
+    tree = load_tree("play_tennis")
+    assert make_instance(tree.space, [1, "sunny", 0]) == (1, 2, 0)
+    with pytest.raises(InstanceError, match="value index 1.5 out of range"):
+        make_instance(tree.space, [0, 1.5, 0])
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_classify_determinism(name):
     """Every point of the space is consistent with exactly one path, and
@@ -566,6 +598,46 @@ def test_pairwise_path_inconsistency(name):
 def test_literal_needs_values():
     with pytest.raises(InconsistentLiteralsError):
         Literal(0, frozenset())
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_literal_mask_is_its_allowed_set(name):
+    tree = load_tree(name)
+    for path in tree.paths:
+        for lit in path.literals:
+            assert lit.mask == _mask(lit.allowed)
+
+
+def test_literal_equality_ignores_the_mask():
+    a, b = Literal(1, frozenset({0, 2})), Literal(1, frozenset({2, 0}))
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Literal(1, frozenset({0}))
+    assert repr(a) == "Literal(feature=1, allowed=frozenset({0, 2}))"
+
+
+def test_equal_points_share_their_literals():
+    tree = load_tree("play_tennis")
+    first = instance_literals(tree.space, (1, 2, 0))
+    again = instance_literals(tree.space, tuple([1, 2, 0]))
+    assert all(a is b for a, b in zip(first, again))
+    assert [lit.mask for lit in first] == [0b10, 0b100, 0b1]
+
+
+def test_masks_are_built_only_in_the_model():
+    """A literal carries its value mask, so ``_mask`` is called in model.py
+    alone and no other module imports it."""
+    package = pathlib.Path(dtexplain.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+                assert "_mask" not in names, f"{module.name} imports _mask"
+            elif isinstance(node, ast.Call) and module.name != "model.py":
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                assert name != "_mask", f"{module.name} calls _mask"
 
 
 # -- exact counting -----------------------------------------------------------

@@ -3,7 +3,9 @@
 import json
 from fractions import Fraction
 
-from conftest import fixture_path, literal_names, load_tree
+import pytest
+
+from conftest import fixture_path, literal_names, load_tree, or_chain_tree
 
 from dtexplain import batch_report, render_table, tree_report
 from dtexplain.report import TABLE_COLUMNS, aggregate_means, display_pct
@@ -23,6 +25,26 @@ def test_cross_circle_report():
     assert report.pct_coverage == Fraction(25)
     assert report.literal_pct_min == report.literal_pct_max == Fraction(50)
     assert report.literal_pct_mean == Fraction(50)
+
+
+@pytest.mark.parametrize("d", [10, 50, 100])
+def test_or_chain_report_closed_forms(d):
+    """On x1 or ... or x<d>, the class-1 path ending at x<k> holds k
+    literals and x<k>=1 alone explains it, so k - 1 of them are redundant;
+    the class-0 path needs all d of its literals."""
+    report = tree_report(or_chain_tree(d), f"or_chain-{d}")
+    harmonic = sum(Fraction(1, k) for k in range(1, d + 1))
+    assert report.path_count == d + 1
+    assert report.pct_redundant == Fraction(100 * (d - 1), d + 1)
+    assert report.literal_pct_min == 50
+    assert report.literal_pct_max == Fraction(100 * (d - 1), d)
+    assert report.literal_pct_mean == 100 * (1 - (harmonic - 1) / (d - 1))
+    for detail in report.details:
+        if detail.class_name == "1":
+            assert detail.explanation_size == 1
+        else:
+            assert not detail.redundant
+            assert detail.explanation_size == detail.literal_count == d
 
 
 def test_restaurant_report():
