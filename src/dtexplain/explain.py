@@ -42,8 +42,8 @@ from .model import (
     Instance,
     Literal,
     TreePath,
+    _point_literals,
     classify,
-    instance_literals,
 )
 
 __all__ = [
@@ -84,12 +84,8 @@ class Explanation:
 
     def as_value_map(self, tree: DecisionTree) -> dict[str, str | list[str]]:
         """Feature-name to value-name mapping, single values unwrapped."""
-        out: dict[str, str | list[str]] = {}
-        for lit in self.sorted_literals():
-            feat = tree.space.feature(lit.feature)
-            names = [feat.domain[v] for v in sorted(lit.allowed)]
-            out[feat.name] = names[0] if len(names) == 1 else names
-        return out
+        named = (lit.names(tree.space) for lit in self.sorted_literals())
+        return {name: vals[0] if len(vals) == 1 else vals for name, vals in named}
 
 
 @dataclass(frozen=True)
@@ -264,7 +260,7 @@ def one_pi_explanation_instance(tree: DecisionTree, instance: Instance) -> Expla
     PI-explanations.
     """
     target, path = classify(tree, instance)
-    literals = instance_literals(tree.space, instance)
+    literals = _point_literals(instance)
     order = range(len(literals) - 1, -1, -1)
     return Explanation(
         literals=_greedy(tree, literals, order, target, path.leaf)[0],

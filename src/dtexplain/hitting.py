@@ -32,8 +32,8 @@ from .model import (
     Literal,
     TreePath,
     _bits,
+    _point_literals,
     classify,
-    instance_literals,
 )
 from .explain import Explanation, PATH_RESTRICTED, PATH_UNRESTRICTED
 
@@ -88,7 +88,7 @@ def _candidates(
         if isinstance(source, TreePath):
             raise HittingSetError("path-unrestricted mode needs an instance source")
         target, _ = classify(tree, source)
-        return instance_literals(tree.space, source), target, tuple(source)
+        return _point_literals(source), target, tuple(source)
     raise HittingSetError(f"unknown mode {mode!r}")
 
 
@@ -112,13 +112,13 @@ def build_hitting_sets(
     candidate; an empty family member signals a malformed tree/source pair.
     """
     universe, target, _ = _candidates(tree, source, mode)
-    position = {lit.feature: (i, lit.allowed) for i, lit in enumerate(universe)}
+    position = {lit.feature: (i, lit.mask) for i, lit in enumerate(universe)}
     sets = []
     for contrary in (p for p in tree.paths if p.prediction != target):
         members = []
         for lit in contrary.literals:
             candidate = position.get(lit.feature)
-            if candidate is not None and candidate[1].isdisjoint(lit.allowed):
+            if candidate is not None and not candidate[1] & lit.mask:
                 members.append(candidate[0])
         if not members:
             raise _no_conflict(contrary.path_id)

@@ -20,7 +20,6 @@ import io
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -271,35 +270,37 @@ def read_instances_csv(space: FeatureSpace, path: str) -> list[Instance]:
 
 @dataclass(frozen=True, slots=True)
 class Literal:
-    """A feature paired with the set of values it is allowed to take.
-
-    An equality literal has a singleton allowed set; a negated or
-    generalized literal allows several values of the domain.  ``mask`` is
-    the allowed set as an int value mask (bit ``v`` for value index
-    ``v``), built once here; it takes no part in equality or hashing.
-    """
+    """A feature and the values it may take, as an int value mask (bit
+    ``v`` for value index ``v``): one bit for an equality literal, several
+    for a negated or generalized one.  Equality, hashing and the repr come
+    from ``(feature, mask)``; :attr:`allowed` derives the value set."""
 
     feature: int
-    allowed: frozenset[int]
-    mask: int = field(init=False, repr=False, compare=False)
+    mask: int
 
     def __post_init__(self):
-        if not self.allowed:
+        if not isinstance(self.mask, int):
+            raise TypeError(f"a literal takes an int value mask, not {self.mask!r}")
+        if self.mask <= 0:
             raise InconsistentLiteralsError("literal with empty allowed set")
-        object.__setattr__(self, "mask", _mask(self.allowed))
+
+    @property
+    def allowed(self) -> frozenset[int]:
+        return _bits(self.mask)
 
     def sort_key(self) -> tuple:
         return (self.feature, tuple(sorted(self.allowed)))
 
-    def render(self, space: FeatureSpace) -> str:
+    def names(self, space: FeatureSpace) -> tuple[str, list[str]]:
+        """The feature's name and the allowed values' names, in domain order."""
         feat = space.feature(self.feature)
-        names = [feat.domain[i] for i in sorted(self.allowed)]
-        if len(names) == 1:
-            return f"{feat.name}={names[0]}"
-        return f"{feat.name} in {{{','.join(names)}}}"
+        return feat.name, [feat.domain[v] for v in sorted(self.allowed)]
 
-
-_feature_of = operator.attrgetter("feature")
+    def render(self, space: FeatureSpace) -> str:
+        name, values = self.names(space)
+        if len(values) == 1:
+            return f"{name}={values[0]}"
+        return f"{name} in {{{','.join(values)}}}"
 
 
 def _mask(values: Iterable[int]) -> int:
@@ -317,14 +318,19 @@ def _equality_literal(feature: int, value: int) -> Literal:
     """One literal per (feature, value) index pair, shared by every space.
     Callers check the point first, so the cache holds at most (widest
     space) x (largest domain) entries."""
-    return Literal(feature, frozenset({value}))
+    return Literal(feature, 1 << value)
+
+
+def _point_literals(point: Instance) -> tuple[Literal, ...]:
+    """:func:`instance_literals` of a point that is already checked."""
+    return tuple(map(_equality_literal, range(len(point)), point))
 
 
 def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ...]:
     """The equality literals of a point, one per feature in feature order;
     equal points get the same literal objects."""
     _check_point(space, point)
-    return tuple(map(_equality_literal, range(len(point)), point))
+    return _point_literals(point)
 
 
 @dataclass(frozen=True)
@@ -535,23 +541,21 @@ class DecisionTree:
                 paths.append(leaf_path[i])
                 continue
             f = feature[i] = node.feature
-            feats = tuple(map(_feature_of, lits))
+            feats = [lit.feature for lit in lits]
             k = feats.index(f) if f in feats else None
-            if k is not None:
-                above[i] = lits[k].mask
+            above[i] = 0 if k is None else lits[k].mask
             kids = []
             # push in reverse so edges pop in declaration order
             for e in range(len(node.edges) - 1, -1, -1):
-                j, values = len(ids), node.edges[e].values
-                ids.append(node.edges[e].child)
+                j, edge = len(ids), node.edges[e]
+                mask = _mask(edge.values)
+                ids.append(edge.child)
                 parent[j] = i
+                kids.append((j, mask))
                 if k is None:
-                    lit = Literal(f, values)
-                    kids.append((j, lit.mask))
-                    child_lits = lits + (lit,)
+                    child_lits = lits + (Literal(f, mask),)
                 else:
-                    kids.append((j, _mask(values)))
-                    narrowed = lits[k].allowed & values
+                    narrowed = lits[k].mask & mask
                     if not narrowed:
                         empty = empty or (ids[i], e, f)
                         continue

@@ -56,7 +56,7 @@ class BruteForceOracle:
                 f"feature space has {tree.space.point_count()} points, "
                 f"budget allows {budget.max_points}"
             )
-        self._memo: dict[frozenset[tuple[int, frozenset[int]]], bool] = {}
+        self._memo: dict[frozenset[tuple[int, int]], bool] = {}
 
     def _walk(self, point: Sequence[int]) -> str:
         """The id of the leaf that ``point`` reaches."""
@@ -87,11 +87,11 @@ class BruteForceOracle:
     def entails(self, literals: Iterable[Literal], class_id: int) -> bool:
         """Exhaustive entailment: every point consistent with the literals
         classifies to ``class_id``."""
-        key = frozenset((lit.feature, lit.allowed) for lit in literals)
+        key = frozenset((lit.feature, lit.mask) for lit in literals)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        lits = [Literal(f, a) for f, a in key]
+        lits = [Literal(f, m) for f, m in key]
         nodes, leaves = self.tree.nodes, map(self._walk, self._consistent_points(lits))
         result = all(nodes[leaf].class_id == class_id for leaf in leaves)
         self._memo[key] = result

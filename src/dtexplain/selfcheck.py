@@ -187,7 +187,7 @@ def check_tree(
             where,
             "extracted instance explanation is not a PI-explanation",
         )
-        if all(len(lit.allowed) == 1 for lit in path.literals):
+        if all(lit.mask.bit_count() == 1 for lit in path.literals):
             # containment of restricted in unrestricted explanations is a
             # literal-level statement, so it applies only when the path's
             # literals are equality literals

@@ -182,7 +182,7 @@ def test_criterion_3_hitting_set_examples():
         frozenset({"x2=1", "x3=1", "x4=1"}),
     }
     for e in enumerate_pi_explanations(selector, point, PATH_UNRESTRICTED):
-        emit(selector, e, [Literal(i, frozenset({v})) for i, v in enumerate(point)])
+        emit(selector, e, [Literal(i, 1 << v) for i, v in enumerate(point)])
     ok(3, "hitting-set families and minimal hitting sets match exactly")
 
 
@@ -235,7 +235,7 @@ def test_criterion_5_minimality_and_containment():
         tree = load_tree(name)
         explanation = one_pi_explanation_instance(tree, point)
         equality = frozenset(
-            Literal(i, frozenset({v})) for i, v in enumerate(point)
+            Literal(i, 1 << v) for i, v in enumerate(point)
         )
         assert explanation.literals <= equality
     ok(5, f"minimality and containment hold for {len(EMITTED)} emitted "

@@ -138,7 +138,7 @@ def test_explain_output_feeds_back_through_the_oracle(capsys):
     literals = frozenset(
         Literal(
             tree.space.feature_by_name(name).index,
-            frozenset({tree.space.feature_by_name(name).value_index(value)}),
+            1 << tree.space.feature_by_name(name).value_index(value),
         )
         for name, value in mapping.items()
     )

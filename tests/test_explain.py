@@ -35,7 +35,7 @@ from dtexplain.explain import _contrary_leaf, _extract_path, _greedy
 
 def lits(tree, *pairs):
     return [
-        Literal(tree.space.feature_by_name(name).index, frozenset({value}))
+        Literal(tree.space.feature_by_name(name).index, 1 << value)
         for name, value in pairs
     ]
 
@@ -45,7 +45,7 @@ def allowed_masks(tree, literals):
     whole domain for a feature without a literal."""
     masks = [(1 << len(f.domain)) - 1 for f in tree.space.features]
     for lit in literals:
-        masks[lit.feature] = sum(1 << v for v in lit.allowed)
+        masks[lit.feature] = lit.mask
     return masks
 
 

@@ -112,7 +112,7 @@ def test_source_conflicting_with_no_contrary_leaf_rejected():
 
 
 def test_empty_member_set_rejected():
-    lit = Literal(0, frozenset({0}))
+    lit = Literal(0, 0b1)
     with pytest.raises(HittingSetError):
         HittingSetInstance(universe=(lit,), sets=(("Q1", frozenset()),))
 
@@ -128,7 +128,7 @@ def family(universe, *index_sets):
 
 
 def abstract_universe(n):
-    return tuple(Literal(i, frozenset({1})) for i in range(n))
+    return tuple(Literal(i, 0b10) for i in range(n))
 
 
 def test_mhs_single_answer():

@@ -18,6 +18,7 @@ from conftest import FIXTURE_NAMES, fixture_path, literal_names, load_tree
 
 import dtexplain
 from dtexplain import (
+    PATH_UNRESTRICTED,
     CycleError,
     DanglingChildError,
     EdgeCoverageError,
@@ -36,8 +37,10 @@ from dtexplain import (
     UnreachableLeafError,
     UnsupportedLiteralError,
     classify,
+    enumerate_pi_explanations,
     instance_literals,
     make_instance,
+    one_pi_explanation_instance,
     parse_instance_json,
     parse_tree,
     path_point_count,
@@ -45,7 +48,6 @@ from dtexplain import (
     serialize_tree,
 )
 from dtexplain.cli import run
-from dtexplain.model import _mask
 
 
 def doc(**overrides):
@@ -493,6 +495,32 @@ def test_instance_literals_rejects_bad_points(point, message):
         classify(tree, point)
 
 
+def test_an_instance_query_checks_the_point_once(monkeypatch):
+    """Extraction and unrestricted enumeration check an instance in
+    ``classify`` and build its literals unchecked, yet still refuse bad
+    points."""
+    tree = load_tree("play_tennis")
+    checks = []
+    check = dtexplain.model._check_point
+
+    def counted(space, point):
+        checks.append(point)
+        check(space, point)
+
+    monkeypatch.setattr(dtexplain.model, "_check_point", counted)
+    queries = (
+        lambda point: one_pi_explanation_instance(tree, point),
+        lambda point: enumerate_pi_explanations(tree, point, PATH_UNRESTRICTED),
+    )
+    for query in queries:
+        checks.clear()
+        query((1, 2, 0))
+        assert checks == [(1, 2, 0)]
+        for point in [(0,), (0, 0, 7), (0, -1, 0)]:
+            with pytest.raises(InstanceError):
+                query(point)
+
+
 def test_make_instance_rejects_a_fractional_index():
     tree = load_tree("play_tennis")
     assert make_instance(tree.space, [1, "sunny", 0]) == (1, 2, 0)
@@ -596,25 +624,40 @@ def test_pairwise_path_inconsistency(name):
 
 
 def test_literal_needs_values():
-    with pytest.raises(InconsistentLiteralsError):
-        Literal(0, frozenset())
+    for mask in (0, -1):
+        with pytest.raises(InconsistentLiteralsError):
+            Literal(0, mask)
+
+
+def test_literal_takes_an_int_mask_not_a_value_set():
+    with pytest.raises(TypeError, match="int value mask"):
+        Literal(0, frozenset({1}))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_literal_mask_is_its_allowed_set(name):
+    """Each path literal allows exactly the values common to the edges the
+    path takes on its feature, read off ``tree.nodes``."""
     tree = load_tree(name)
     for path in tree.paths:
-        for lit in path.literals:
-            assert lit.mask == _mask(lit.allowed)
+        expected = {}
+        for node, child in path.steps():
+            split = tree.nodes[tree._ids[node]]
+            (values,) = [
+                e.values for e in split.edges if e.child == tree._ids[child]
+            ]
+            expected[split.feature] = expected.get(split.feature, values) & values
+        assert {lit.feature: lit.allowed for lit in path.literals} == expected
 
 
-def test_literal_equality_ignores_the_mask():
-    a, b = Literal(1, frozenset({0, 2})), Literal(1, frozenset({2, 0}))
+def test_literal_is_its_feature_and_mask():
+    a, b = Literal(1, 0b101), Literal(1, 0b101)
     assert a is not b
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    assert a != Literal(1, frozenset({0}))
-    assert repr(a) == "Literal(feature=1, allowed=frozenset({0, 2}))"
+    assert a != Literal(1, 0b1) and a != Literal(0, 0b101)
+    assert a.allowed == frozenset({0, 2})
+    assert repr(a) == "Literal(feature=1, mask=5)"
 
 
 def test_equal_points_share_their_literals():
@@ -638,6 +681,22 @@ def test_masks_are_built_only_in_the_model():
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 assert name != "_mask", f"{module.name} calls _mask"
+
+
+def test_literals_store_only_their_mask():
+    """A literal stores ``(feature, mask)``; only model.py and oracle.py
+    read the derived value set, and model.py sets no attribute behind a
+    frozen dataclass's back."""
+    assert Literal.__slots__ == ("feature", "mask")
+    package = pathlib.Path(dtexplain.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Attribute) and node.attr == "allowed":
+                assert module.name in ("model.py", "oracle.py"), (
+                    f"{module.name} reads .allowed"
+                )
+            if module.name == "model.py" and isinstance(node, ast.Call):
+                assert ast.unparse(node.func) != "object.__setattr__"
 
 
 # -- exact counting -----------------------------------------------------------
@@ -670,7 +729,7 @@ def test_point_count_empty_literal_set():
 
 def test_point_count_generalized_literal_play_tennis():
     tree = load_tree("play_tennis")
-    lit = Literal(1, frozenset({1, 2}))  # Outlook in {rain, sunny}
+    lit = Literal(1, 0b110)  # Outlook in {rain, sunny}
     expected = count_by_enumeration(tree.space, [lit])
     assert expected == 8
     assert path_point_count(tree.space, [lit]) == 8
@@ -679,7 +738,7 @@ def test_point_count_generalized_literal_play_tennis():
 
 def test_point_count_inconsistent_literals():
     tree = load_tree("or_tree")
-    pair = [Literal(0, frozenset({0})), Literal(0, frozenset({1}))]
+    pair = [Literal(0, 0b1), Literal(0, 0b10)]
     with pytest.raises(InconsistentLiteralsError):
         path_point_count(tree.space, pair)
 
@@ -706,9 +765,9 @@ def test_point_count_matches_enumeration(domains, seed):
     literals = [
         Literal(
             f.index,
-            frozenset(rng.sample(range(len(f.domain)), rng.randint(1, len(f.domain)))),
+            sum(1 << v for v in rng.sample(range(size), rng.randint(1, size))),
         )
-        for f in space.features
+        for f, size in zip(space.features, domains)
         if rng.random() < 0.6
     ]
     assert path_point_count(space, literals) == count_by_enumeration(space, literals)

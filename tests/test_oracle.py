@@ -14,7 +14,7 @@ from dtexplain import (
 
 def lits(tree, *pairs):
     return [
-        Literal(tree.space.feature_by_name(name).index, frozenset({value}))
+        Literal(tree.space.feature_by_name(name).index, 1 << value)
         for name, value in pairs
     ]
 
@@ -45,7 +45,7 @@ def test_bf_enumerate_pi_p2_universe():
 
 def test_bf_enumerate_pi_selector_instance_universe():
     tree = load_tree("selector")
-    universe = [Literal(i, frozenset({1})) for i in range(4)]
+    universe = [Literal(i, 0b10) for i in range(4)]
     got = BruteForceOracle(tree).enumerate_pi(universe, 1)
     got = {literal_names(tree, e.literals) for e in got}
     assert got == {

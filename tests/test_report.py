@@ -1,13 +1,27 @@
 """Tree-level redundancy statistics."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import fixture_path, literal_names, load_tree, or_chain_tree
 
-from dtexplain import batch_report, render_table, tree_report
+from dtexplain import (
+    PATH_RESTRICTED,
+    DecisionTree,
+    Edge,
+    FeatureSpace,
+    Leaf,
+    Split,
+    batch_report,
+    enumerate_pi_explanations,
+    instance_literals,
+    one_pi_explanation_instance,
+    render_table,
+    tree_report,
+)
 from dtexplain.report import TABLE_COLUMNS, aggregate_means, display_pct
 
 
@@ -45,6 +59,52 @@ def test_or_chain_report_closed_forms(d):
         else:
             assert not detail.redundant
             assert detail.explanation_size == detail.literal_count == d
+
+
+def parity_tree(k: int) -> DecisionTree:
+    """The complete tree over binary x1..x<k> whose leaves predict the
+    parity of their ones; node n<bits> has taken the edges ``bits``."""
+    space = FeatureSpace.from_pairs((f"x{i + 1}", ("0", "1")) for i in range(k))
+    nodes = {}
+    for depth in range(k + 1):
+        for ones in range(1 << depth):
+            bits = format(ones, f"0{depth}b") if depth else ""
+            if depth == k:
+                nodes[f"n{bits}"] = Leaf(bits.count("1") % 2)
+            else:
+                edges = [Edge(frozenset({v}), f"n{bits}{v}") for v in (0, 1)]
+                nodes[f"n{bits}"] = Split(depth, tuple(edges))
+    return DecisionTree(space, ("0", "1"), "n", nodes)
+
+
+@pytest.mark.parametrize("k", [4, 9, 12])
+def test_parity_report_closed_forms(k):
+    """On k-parity every literal of every path is needed: flipping any one
+    feature flips the class.  So no path is redundant, each path's one
+    PI-explanation and its only one is the path itself, and an instance
+    keeps all k of its equality literals."""
+    tree = parity_tree(k)
+    assert tree.node_count == 2 ** (k + 1) - 1
+    report = tree_report(tree, f"parity-{k}")
+    assert report.path_count == 2**k
+    assert report.redundant_count == 0
+    assert report.pct_redundant == report.pct_coverage == 0
+    assert report.literal_pct_min is None
+    assert report.literal_pct_max is None
+    assert report.literal_pct_mean is None
+    for detail in report.details:
+        assert len(detail.explanation.literals) == detail.explanation_size == k
+        assert detail.point_count == 1
+    rng = random.Random(k)
+    paths = tree.paths if k < 12 else rng.sample(tree.paths, 64)
+    for path in paths:
+        found = enumerate_pi_explanations(tree, path, PATH_RESTRICTED)
+        assert [e.literals for e in found] == [path.literal_set()]
+    for _ in range(64):
+        point = tuple(rng.randrange(2) for _ in range(k))
+        explanation = one_pi_explanation_instance(tree, point)
+        assert explanation.literals == frozenset(instance_literals(tree.space, point))
+        assert explanation.target == sum(point) % 2
 
 
 def test_restaurant_report():
