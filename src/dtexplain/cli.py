@@ -4,8 +4,9 @@ Subcommands: ``classify``, ``redundancy``, ``explain``, ``enumerate``,
 ``stats`` and ``selftest``.  Results go to stdout, diagnostics to stderr,
 and output is byte-identical across runs for identical inputs.  With
 ``--format json``, ``-i`` and ``--path`` print one entry; ``--instances``
-and ``--all`` print a list, even of one row.  ``--verify`` re-derives
-each answer through the oracle checks that :func:`check_tree` uses.
+and ``--all`` print a list, even of one row.  ``--verify`` checks each
+answer with the :mod:`~dtexplain.selfcheck` checker of its kind, as
+:func:`check_tree` does, and makes no check of its own.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 oracle
 mismatch under ``--verify``, 4 oracle budget exceeded under ``--verify``.
@@ -26,7 +27,7 @@ from .explain import (
     one_pi_explanation_instance,
     one_pi_explanation_path,
 )
-from .hitting import HittingSetError, enumerate_pi_explanations
+from .hitting import HittingSetError, _candidates, enumerate_pi_explanations
 from .model import (
     DecisionTree,
     InconsistentLiteralsError,
@@ -42,7 +43,8 @@ from .oracle import BruteForceOracle, BudgetExceededError
 from .randtree import random_tree
 from .report import aggregate_means, batch_report, render_table
 from .selfcheck import CheckStats, OracleMismatch, check_tree
-from .selfcheck import _check_enumeration, _check_minimal, _check_redundancy
+from .selfcheck import check_classification, check_enumeration, check_extraction
+from .selfcheck import check_redundancy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -189,8 +191,8 @@ def _cmd_classify(args) -> int:
     rows = []
     for _, point in sources:
         class_id, path = classify(tree, point)
-        if oracle is not None and not oracle.entails(path.literals, class_id):
-            raise OracleMismatch("path literals do not entail the class")
+        if oracle is not None:
+            check_classification(oracle, point, class_id, path)
         rows.append(
             {
                 "class": tree.classes[class_id],
@@ -211,12 +213,9 @@ def _cmd_redundancy(args) -> int:
     for _, path in sources:
         verdict = is_path_redundant(tree, path)
         if oracle is not None:
-            _check_redundancy(oracle, path, verdict.redundant, path.path_id)
-        witness = (
-            tree.space.feature(verdict.witness).name
-            if verdict.witness is not None
-            else None
-        )
+            check_redundancy(oracle, path, verdict, path.path_id)
+        feature = verdict.witness
+        witness = None if feature is None else tree.space.feature(feature).name
         rows.append(
             {
                 "path": path.path_id,
@@ -246,7 +245,8 @@ def _cmd_explain(args) -> int:
         else:
             explanation = one_pi_explanation_instance(tree, source)
         if oracle is not None:
-            _check_minimal(oracle.entails, explanation.literals, explanation.target)
+            universe, target, _ = _candidates(tree, source, mode)
+            check_extraction(oracle, universe, target, explanation)
         results.append(explanation)
     return _print(
         args, single, results,
@@ -264,7 +264,8 @@ def _cmd_enumerate(args) -> int:
     for mode, source in sources:
         explanations = enumerate_pi_explanations(tree, source, mode, args.limit)
         if oracle is not None:
-            _check_enumeration(oracle, source, mode, explanations, args.limit)
+            universe, target, _ = _candidates(tree, source, mode)
+            check_enumeration(oracle, universe, target, explanations, args.limit)
         blocks.append(explanations)
     return _print(
         args, single, blocks,
@@ -279,8 +280,10 @@ def _cmd_stats(args) -> int:
         for report in reports:
             oracle = BruteForceOracle(report.tree)
             for path, detail in zip(report.tree.paths, report.details):
-                _check_redundancy(
-                    oracle, path, detail.redundant, f"{report.label}: {path.path_id}"
+                where = f"{report.label}: {path.path_id}"
+                check_redundancy(oracle, path, detail.verdict, where)
+                check_extraction(
+                    oracle, path.literals, path.prediction, detail.explanation, where
                 )
     if args.format == "json":
         # one entry per input file in input order, then the means

@@ -42,6 +42,7 @@ from .model import (
     Instance,
     Literal,
     TreePath,
+    _check_in_space,
     _point_literals,
     classify,
 )
@@ -151,7 +152,9 @@ def _allowed(tree: DecisionTree, literals: Iterable[Literal]) -> list[int]:
 
 def entails(tree: DecisionTree, literals: Iterable[Literal], class_id: int) -> bool:
     """True iff every point consistent with the literals classifies to
-    ``class_id``; a single root-down traversal pruning disjoint edges."""
+    ``class_id``; a single root-down traversal pruning disjoint edges.
+    Raises ValueError for a literal outside the tree's feature space."""
+    literals = _check_in_space(tree._full, literals)
     return not _contrary_leaf(tree, 0, class_id, _allowed(tree, literals))[0]
 
 

@@ -234,8 +234,11 @@ def enumerate_mhs(
     partial sets stay small.  The output is sorted by (cardinality,
     universe indices) and cut at ``limit`` if given; that order needs
     every set, so the search is always complete.  An empty family has
-    exactly the empty set as its sole answer.
+    exactly the empty set as its sole answer.  A negative ``limit`` raises
+    ValueError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     masks = {sum(1 << i for i in members) for _, members in instance.sets}
     family = sorted(masks, key=lambda m: (m.bit_count(), m))
     found = [

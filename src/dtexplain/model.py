@@ -326,6 +326,19 @@ def _point_literals(point: Instance) -> tuple[Literal, ...]:
     return tuple(map(_equality_literal, range(len(point)), point))
 
 
+def _check_in_space(
+    full: list[int], literals: Iterable[Literal]
+) -> tuple[Literal, ...]:
+    """The literals, after checking that each names a feature index of the
+    space and only values of its domain; ``full`` holds each feature's
+    whole-domain value mask."""
+    literals = tuple(literals)
+    for lit in literals:
+        if not 0 <= lit.feature < len(full) or lit.mask > full[lit.feature]:
+            raise ValueError(f"{lit!r} lies outside the feature space")
+    return literals
+
+
 def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ...]:
     """The equality literals of a point, one per feature in feature order;
     equal points get the same literal objects."""
@@ -628,8 +641,9 @@ def classify(tree: DecisionTree, instance: Instance) -> tuple[int, TreePath]:
 
 def path_point_count(space: FeatureSpace, literals: Iterable[Literal]) -> int:
     """Exact number of space points consistent with a literal set."""
-    allowed = [(1 << len(f.domain)) - 1 for f in space.features]
-    for lit in literals:
+    full = [(1 << len(f.domain)) - 1 for f in space.features]
+    allowed = full[:]
+    for lit in _check_in_space(full, literals):
         allowed[lit.feature] &= lit.mask
     if 0 in allowed:
         name = space.feature(allowed.index(0)).name

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .explain import Explanation
-from .model import DecisionTree, Leaf, Literal, TreePath
+from .model import DecisionTree, Leaf, Literal, TreePath, _check_in_space
 
 __all__ = [
     "OracleBudget",
@@ -56,7 +56,7 @@ class BruteForceOracle:
                 f"feature space has {tree.space.point_count()} points, "
                 f"budget allows {budget.max_points}"
             )
-        self._memo: dict[frozenset[tuple[int, int]], bool] = {}
+        self._memo: dict[frozenset[Literal], bool] = {}
 
     def _walk(self, point: Sequence[int]) -> str:
         """The id of the leaf that ``point`` reaches."""
@@ -86,13 +86,14 @@ class BruteForceOracle:
 
     def entails(self, literals: Iterable[Literal], class_id: int) -> bool:
         """Exhaustive entailment: every point consistent with the literals
-        classifies to ``class_id``."""
-        key = frozenset((lit.feature, lit.mask) for lit in literals)
+        classifies to ``class_id``.  Raises ValueError for a literal outside
+        the tree's feature space."""
+        key = frozenset(literals)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        lits = [Literal(f, m) for f, m in key]
-        nodes, leaves = self.tree.nodes, map(self._walk, self._consistent_points(lits))
+        _check_in_space(self.tree._full, key)
+        nodes, leaves = self.tree.nodes, map(self._walk, self._consistent_points(key))
         result = all(nodes[leaf].class_id == class_id for leaf in leaves)
         self._memo[key] = result
         return result

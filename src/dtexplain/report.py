@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .explain import Explanation, is_path_redundant, one_pi_explanation_path
+from .explain import (
+    Explanation,
+    RedundancyResult,
+    is_path_redundant,
+    one_pi_explanation_path,
+)
 from .model import DecisionTree, TreeFormatError, parse_tree_file, path_point_count
 
 __all__ = [
@@ -57,6 +62,7 @@ class PathDetail:
     point_count: int
     redundant_literal_pct: Fraction | None
     explanation: Explanation
+    verdict: RedundancyResult
 
     def to_obj(self) -> dict:
         return {
@@ -136,6 +142,7 @@ def tree_report(tree: DecisionTree, label: str = "tree") -> TreeReport:
                 point_count=points,
                 redundant_literal_pct=pct,
                 explanation=explanation,
+                verdict=verdict,
             )
         )
     total = space.point_count()

@@ -1,12 +1,11 @@
 """Cross-checking of the fast operations against the brute-force oracle.
 
-One call audits a whole tree: every path's redundancy verdict, extraction
-and enumeration are compared with exhaustive ground truth, and a batch of
-random instances does the same for instance-level queries.  Any
-discrepancy raises :class:`OracleMismatch`; the checks also enforce the
-node-visit bounds of the redundancy decision, of path extraction and of
-the enumeration's family search, and the minimality and containment
-guarantees of every explanation seen.  The CLI's ``--verify`` runs the same per-answer checks.
+One checker per answer kind (classification, redundancy verdict,
+extraction, enumeration) compares an answer with exhaustive ground truth
+and raises :class:`OracleMismatch` on any discrepancy.  :func:`check_tree`
+runs them on every path of a tree and on random instances, adding work
+bounds and checks across answers; the CLI's ``--verify`` runs the same
+checkers and no check of its own, so every answer is verified one way.
 """
 
 from __future__ import annotations
@@ -19,17 +18,21 @@ from .explain import (
     PATH_RESTRICTED,
     PATH_UNRESTRICTED,
     Explanation,
+    RedundancyResult,
     _extract_path,
     entails,
     is_path_redundant,
     one_pi_explanation_instance,
 )
-from .hitting import _candidates, _enumerate
-from .model import DecisionTree, Literal, classify, instance_literals
+from .hitting import _enumerate
+from .model import DecisionTree, Instance, Literal, TreePath, _point_literals, classify
 from .oracle import BruteForceOracle
 from .randtree import random_instance
 
-__all__ = ["OracleMismatch", "CheckStats", "check_tree"]
+__all__ = [
+    "OracleMismatch", "CheckStats", "check_classification", "check_redundancy",
+    "check_extraction", "check_enumeration", "check_tree",
+]
 
 
 class OracleMismatch(AssertionError):
@@ -55,16 +58,10 @@ def _require(condition: bool, label: str | None, detail: str) -> None:
         raise OracleMismatch(f"{label}: {detail}" if label else detail)
 
 
-def _enumerated(tree, source, mode: str, label: str) -> list[Explanation]:
-    """The PI-explanations of a source, after checking that the family
-    search entered each tree node at most once."""
-    explanations, entered = _enumerate(tree, source, mode, None)
-    _require(
-        entered <= tree.node_count,
-        label,
-        f"family search entered {entered} nodes, bound is {tree.node_count}",
-    )
-    return explanations
+def _bounded(count: int, bound: int, what: str, label: str | None) -> int:
+    """``count - bound``, after checking that it is not positive."""
+    _require(count <= bound, label, f"{what} {count} nodes, bound is {bound}")
+    return count - bound
 
 
 def _check_minimal(entails_fn, literals, target, label: str | None = None) -> None:
@@ -82,23 +79,61 @@ def _check_minimal(entails_fn, literals, target, label: str | None = None) -> No
             )
 
 
-def _check_redundancy(oracle, path, redundant: bool, label: str | None = None) -> None:
-    """Raise :class:`OracleMismatch` unless the oracle's verdict on ``path``
-    is ``redundant``."""
+def check_classification(
+    oracle, point: Instance, class_id: int, path: TreePath, label: str | None = None
+) -> None:
+    """The oracle's own walker takes ``point`` to ``path``'s leaf, and
+    that leaf predicts ``class_id``."""
+    leaf = oracle._walk(point)
+    reached = (leaf, oracle.tree.nodes[leaf].class_id)
     _require(
-        redundant == oracle.is_redundant(path),
+        reached == (path.leaf_id, class_id),
         label,
-        f"redundancy verdict {redundant} disagrees with the oracle",
+        f"instance reaches leaf {leaf!r} (class index {reached[1]}), "
+        f"not path {path.path_id} (class index {class_id})",
     )
 
 
-def _check_enumeration(
-    oracle, source, mode: str, explanations, limit=None, label: str | None = None
+def check_redundancy(
+    oracle, path: TreePath, verdict: RedundancyResult, label: str | None = None
+) -> int:
+    """The oracle agrees with ``verdict`` on ``path``, and the decision
+    examined at most (tree nodes + path depth) nodes; returns the visits
+    minus that bound."""
+    _require(
+        verdict.redundant == oracle.is_redundant(path),
+        label,
+        f"redundancy verdict {verdict.redundant} disagrees with the oracle",
+    )
+    bound = oracle.tree.node_count + path.depth
+    return _bounded(verdict.node_visits, bound, "redundancy decision examined", label)
+
+
+def check_extraction(
+    oracle, universe, target: int, explanation: Explanation, label: str | None = None
+) -> None:
+    """``explanation`` targets ``target``, the source's class, lies inside
+    its candidate literals ``universe``, and is a subset-minimal entailing
+    set under the oracle."""
+    _require(
+        explanation.target == target,
+        label,
+        f"explanation targets class index {explanation.target}, not {target}",
+    )
+    _require(
+        explanation.literals.issubset(universe),
+        label,
+        "explanation leaves the candidate literals",
+    )
+    _check_minimal(oracle.entails, explanation.literals, target, label)
+
+
+def check_enumeration(
+    oracle, universe, target: int, explanations, limit=None, label: str | None = None
 ) -> set[frozenset[Literal]]:
-    """The oracle's PI-explanation sets for a path or an instance in
-    ``mode``, after checking that ``explanations`` are all of them, or
+    """The oracle's PI-explanation sets of class ``target`` drawn from
+    ``universe``, after checking that ``explanations`` are all of them, or
     ``limit`` of them (all, if there are fewer)."""
-    universe, target, _ = _candidates(oracle.tree, source, mode)
     truth = {e.literals for e in oracle.enumerate_pi(universe, target)}
     found = {e.literals for e in explanations}
     want = len(truth) if limit is None else min(limit, len(truth))
@@ -110,63 +145,55 @@ def _check_enumeration(
 
 
 def check_tree(
-    tree: DecisionTree,
-    rng: random.Random,
-    n_instances: int = 50,
-    label: str = "tree",
+    tree: DecisionTree, rng: random.Random, n_instances: int = 50, label: str = "tree"
 ) -> CheckStats:
-    """Compare every fast operation on ``tree`` with the oracle."""
+    """Run the four checkers over every path of ``tree`` and over
+    ``n_instances`` random instances, with the work bounds and the checks
+    across answers."""
     oracle = BruteForceOracle(tree)
     fast_entails = partial(entails, tree)
     stats = CheckStats(trees=1)
+
+    def check_source(source, mode, universe, target, extracted, where):
+        """Check a source's extraction and enumeration against each other
+        and the oracle; returns the oracle's PI-explanation sets."""
+        check_extraction(oracle, universe, target, extracted, where)
+        fast, entered = _enumerate(tree, source, mode, None)
+        _bounded(entered, tree.node_count, "family search entered", where)
+        truth = check_enumeration(oracle, universe, target, fast, None, where)
+        _require(
+            extracted.literals in truth,
+            where,
+            "extracted explanation is not a PI-explanation",
+        )
+        _check_minimal(fast_entails, extracted.literals, target, where)
+        return truth
 
     restricted_by_leaf: dict[int, set[frozenset[Literal]]] = {}
     for path in tree.paths:
         where = f"{label}/{path.path_id}"
         verdict = is_path_redundant(tree, path)
-        _check_redundancy(oracle, path, verdict.redundant, where)
-        bound = tree.node_count + path.depth
-        slack = verdict.node_visits - bound
+        slack = check_redundancy(oracle, path, verdict, where)
         stats.max_visit_slack = max(stats.max_visit_slack, slack)
-        _require(
-            verdict.node_visits <= bound,
-            where,
-            f"redundancy decision examined {verdict.node_visits} nodes, "
-            f"bound is {bound}",
-        )
         extracted, entered = _extract_path(tree, path)
         bound = len(path.literals) * tree.node_count
-        _require(
-            entered <= bound,
-            where,
-            f"path extraction entered {entered} nodes, bound is {bound}",
-        )
-        _require(
-            extracted.literals <= path.literal_set(),
-            where,
-            "path-restricted explanation leaves the path literals",
-        )
+        _bounded(entered, bound, "path extraction entered", where)
         _require(
             verdict.redundant == (len(extracted.literals) < len(path.literals)),
             where,
             "redundancy verdict does not match extraction shrinkage",
         )
-        fast = _enumerated(tree, path, PATH_RESTRICTED, where)
-        truth = _check_enumeration(oracle, path, PATH_RESTRICTED, fast, None, where)
-        _require(
-            extracted.literals in truth,
-            where,
-            "extracted path explanation is not a PI-explanation",
+        restricted_by_leaf[path.leaf] = check_source(
+            path, PATH_RESTRICTED, path.literals, path.prediction, extracted, where
         )
-        _check_minimal(fast_entails, extracted.literals, path.prediction, where)
-        restricted_by_leaf[path.leaf] = truth
         stats.paths += 1
 
     for k in range(n_instances):
         point = random_instance(tree.space, rng)
         where = f"{label}/instance#{k}:{point}"
         target, path = classify(tree, point)
-        equality = instance_literals(tree.space, point)
+        check_classification(oracle, point, target, path, where)
+        equality = _point_literals(point)
         for skip in range(-1, len(equality)):  # -1 keeps the full set
             subset = [lit for i, lit in enumerate(equality) if i != skip]
             _require(
@@ -175,17 +202,8 @@ def check_tree(
                 f"entailment of {len(subset)} literals disagrees with the oracle",
             )
         extracted = one_pi_explanation_instance(tree, point)
-        _require(
-            extracted.literals <= frozenset(equality),
-            where,
-            "instance explanation leaves the instance literals",
-        )
-        fast = _enumerated(tree, point, PATH_UNRESTRICTED, where)
-        truth = _check_enumeration(oracle, point, PATH_UNRESTRICTED, fast, None, where)
-        _require(
-            extracted.literals in truth,
-            where,
-            "extracted instance explanation is not a PI-explanation",
+        truth = check_source(
+            point, PATH_UNRESTRICTED, equality, target, extracted, where
         )
         if all(lit.mask.bit_count() == 1 for lit in path.literals):
             # containment of restricted in unrestricted explanations is a
@@ -197,6 +215,5 @@ def check_tree(
                 "a path-restricted explanation is missing from the "
                 "unrestricted ones",
             )
-        _check_minimal(fast_entails, extracted.literals, target, where)
         stats.instances += 1
     return stats

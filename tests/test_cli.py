@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import ast
 import importlib
 import json
 import os
@@ -471,6 +472,96 @@ def test_verify_detects_every_lying_command(capsys, monkeypatch, target, liar, a
     code, out, err = invoke(capsys, *argv, "--verify")
     assert code == 3 and out == ""
     assert "oracle mismatch" in err
+
+
+def _another_path_of_its_class(real):
+    def lie(tree, point):
+        _, path = real(tree, point)
+        other = next(
+            p for p in tree.paths if p is not path and p.prediction == path.prediction
+        )
+        return other.prediction, other
+    return lie
+
+
+def _x1_is_1(real):
+    def lie(tree, source):  # entails class 1 and is minimal, but not the source's
+        return Explanation(frozenset({Literal(0, 0b10)}), 1)
+    return lie
+
+
+def _drop_one_more(real):
+    def lie(tree, path):
+        honest = real(tree, path)
+        if len(honest.literals) == len(path.literals):
+            return honest
+        rest = frozenset(honest.sorted_literals()[1:])  # no longer entails
+        return Explanation(rest, honest.target, honest.mode, honest.source)
+    return lie
+
+
+@pytest.mark.parametrize(
+    "target, liar, argv",
+    [
+        (
+            "dtexplain.cli.classify", _another_path_of_its_class,
+            ("classify", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
+        ),
+        (
+            "dtexplain.cli.one_pi_explanation_path", _x1_is_1,
+            ("explain", "-t", fixture_path("or_tree"), "--path", "P1"),
+        ),
+        (
+            "dtexplain.cli.one_pi_explanation_instance", _x1_is_1,
+            ("explain", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
+        ),
+        (
+            "dtexplain.report.one_pi_explanation_path", _drop_one_more,
+            ("stats", "-t", fixture_path("articles")),
+        ),
+    ],
+    ids=["classify-path", "explain-path", "explain-instance", "stats-extraction"],
+)
+def test_verify_runs_the_checker_of_each_answer_kind(
+    capsys, monkeypatch, target, liar, argv
+):
+    """Each liar gives an answer that a check of its own kind catches:
+    the leaf reached, containment in the source's literals, entailment.
+    Without --verify its wrong answer is printed."""
+    module, name = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    code, honest, _ = invoke(capsys, *argv, "--verify")
+    assert code == 0 and honest
+    monkeypatch.setattr(target, liar(real))
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and out != honest
+    code, out, err = invoke(capsys, *argv, "--verify")
+    assert code == 3 and out == ""
+    assert err.startswith("dtexplain: oracle mismatch: ")
+
+
+def test_cli_verifies_only_through_the_selfcheck_checkers():
+    """--verify has one path: cli.py takes from selfcheck only check_tree,
+    its result types and the per-answer checkers, imports no other check,
+    and calls no oracle method itself."""
+    checkers = {n for n in dtexplain.selfcheck.__all__ if n.startswith("check_")}
+    allowed = {
+        "selfcheck": checkers | {"CheckStats", "OracleMismatch"},
+        "oracle": {"BruteForceOracle", "BudgetExceededError"},
+    }
+    methods = {n for n, v in vars(BruteForceOracle).items() if callable(v)}
+    source = pathlib.Path(dtexplain.cli.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            imported |= names
+            if node.module in allowed:
+                assert names <= allowed[node.module], names - allowed[node.module]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            assert node.func.attr not in methods, ast.unparse(node)
+    assert checkers <= imported
+    assert not {"entails", "_check_minimal", "is_redundant"} & imported
 
 
 def test_verify_detects_a_short_truncated_enumeration(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Redundancy decision, extraction, entailment."""
 
+import contextlib
 import json
 import random
+import signal
 import tracemalloc
 
 import pytest
@@ -26,6 +28,7 @@ from dtexplain import (
     one_pi_explanation_instance,
     one_pi_explanation_path,
     parse_tree_file,
+    path_point_count,
     random_instance,
     random_tree,
 )
@@ -336,6 +339,48 @@ def test_entails_rejects_duplicate_feature():
     tree = load_tree("or_tree")
     with pytest.raises(ValueError):
         entails(tree, lits(tree, ("x1", 0), ("x1", 1)), 1)
+
+
+@contextlib.contextmanager
+def within_seconds(seconds: float):
+    """Raise TimeoutError in the block instead of letting it run on."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+CALLER_LITERAL_QUERIES = {
+    "entails": lambda tree, literals: entails(tree, literals, 1),
+    "path_point_count": lambda tree, literals: path_point_count(tree.space, literals),
+    "oracle": lambda tree, literals: BruteForceOracle(tree).entails(literals, 1),
+}
+
+
+@pytest.mark.parametrize("query", CALLER_LITERAL_QUERIES)
+@pytest.mark.parametrize(
+    "literal",
+    [Literal(-1, 0b10), Literal(5, 0b10), Literal(0, 0b100)],
+    ids=["feature-minus-one", "feature-past-the-end", "value-past-the-domain"],
+)
+def test_literals_outside_the_space_are_rejected(query, literal):
+    """or_tree has two binary features.  Feature -1 used to constrain the
+    last feature on the fast side while the oracle ignored it, feature 5
+    raised IndexError on the fast side, and value 2 of x1 made fast
+    ``entails`` true for every class and the oracle loop forever."""
+    tree = load_tree("or_tree")
+    ask = CALLER_LITERAL_QUERIES[query]
+    with within_seconds(5), pytest.raises(ValueError, match="outside the feature space"):
+        ask(tree, [literal])
+    whole_domain = Literal(literal.feature % 2, 0b11)  # inside the space
+    assert ask(tree, [whole_domain]) == (4 if query == "path_point_count" else False)
 
 
 # -- deep trees ---------------------------------------------------------------------

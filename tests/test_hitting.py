@@ -160,6 +160,19 @@ def test_mhs_limit_truncates_in_emission_order():
     assert enumerate_mhs(hs, limit=99) == full
 
 
+def test_negative_limit_is_rejected():
+    """A negative limit used to slice sets off the end: P2 of or_of_ands
+    has one PI-explanation, and ``limit=-1`` returned none."""
+    tree = load_tree("or_of_ands")
+    path = tree.path("P2")
+    hs = build_hitting_sets(tree, path, PATH_RESTRICTED)
+    assert len(enumerate_mhs(hs)) == 1
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_mhs(hs, limit=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_pi_explanations(tree, path, PATH_RESTRICTED, -1)
+
+
 def test_mhs_deterministic():
     u = abstract_universe(5)
     hs = family(u, {0, 1, 2}, {1, 3}, {2, 4}, {0, 4})

@@ -1,14 +1,21 @@
-"""Brute-force oracle: exhaustive entailment, enumeration, redundancy."""
+"""Brute-force oracle: exhaustive entailment, enumeration, redundancy,
+and the selfcheck checkers built on it."""
+
+import random
 
 import pytest
 
 from conftest import literal_names, load_tree
 
+import dtexplain
 from dtexplain import (
     BruteForceOracle,
     BudgetExceededError,
     Literal,
     OracleBudget,
+    OracleMismatch,
+    check_tree,
+    random_tree,
 )
 
 
@@ -109,3 +116,47 @@ def test_redundancy_consistent_with_enumeration(name):
             for e in BruteForceOracle(tree).enumerate_pi(path.literals, path.prediction)
         )
         assert BruteForceOracle(tree).is_redundant(path) == smaller
+
+
+def test_memo_is_keyed_on_the_literal_set():
+    tree = load_tree("or_of_ands")
+    oracle = BruteForceOracle(tree)
+    literals = lits(tree, ("x3", 1), ("x4", 1))
+    assert oracle.entails(literals, 1)
+    assert list(oracle._memo) == [frozenset(literals)]
+    assert oracle.entails(literals[::-1], 1)  # a hit on the same key
+    assert len(oracle._memo) == 1
+
+
+# -- check_tree -----------------------------------------------------------------
+
+
+def test_check_tree_checks_each_classification(monkeypatch):
+    """A classify that reports another leaf of the same class is caught by
+    the classification checker, which walks the point with the oracle."""
+    real = dtexplain.selfcheck.classify
+
+    def other_leaf(tree, point):
+        _, path = real(tree, point)
+        other = next(p for p in tree.paths if p is not path)
+        return other.prediction, other
+
+    monkeypatch.setattr(dtexplain.selfcheck, "classify", other_leaf)
+    with pytest.raises(OracleMismatch, match="reaches leaf"):
+        check_tree(load_tree("or_tree"), random.Random(0), n_instances=5)
+
+
+def test_check_tree_checks_each_instance_at_most_three_times(monkeypatch):
+    """Its own classify, the extraction's and the enumeration's: the
+    checkers take the universe and class already resolved."""
+    checks = []
+    check = dtexplain.model._check_point
+
+    def counted(space, point):
+        checks.append(point)
+        check(space, point)
+
+    monkeypatch.setattr(dtexplain.model, "_check_point", counted)
+    stats = check_tree(random_tree(3), random.Random(0), n_instances=10)
+    assert stats.instances == 10
+    assert len(checks) <= 3 * 10
