@@ -139,10 +139,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _sources(tree: DecisionTree, args) -> tuple[list[tuple[str, object]], bool]:
-    """The (mode, source) pairs named by --path/--all, -i/--instances and
-    --mode, and whether the flags name a single source: -i and --path do,
-    --instances and --all (or neither, for ``redundancy``) name a list."""
+def _sources(
+    tree: DecisionTree, args
+) -> tuple[list[tuple[str, object, object]], bool]:
+    """The (mode, source, point) triples named by --path/--all,
+    -i/--instances and --mode, and whether the flags name a single source:
+    -i and --path do, --instances and --all (or neither, for
+    ``redundancy``) name a list.  ``point`` is the instance the source
+    came from, None for a tree path named by its id."""
     flags = vars(args)
     path_id, mode = flags.get("path"), flags.get("mode")
     instance, rows = flags.get("instance"), flags.get("instances")
@@ -153,9 +157,9 @@ def _sources(tree: DecisionTree, args) -> tuple[list[tuple[str, object]], bool]:
     if path_id:
         if mode == "unrestricted":
             raise UsageError("unrestricted mode needs an instance source, not --path")
-        return [(PATH_RESTRICTED, tree.path(path_id))], True
+        return [(PATH_RESTRICTED, tree.path(path_id), None)], True
     if "all" in flags:  # redundancy: every path unless --path
-        return [(PATH_RESTRICTED, path) for path in tree.paths], False
+        return [(PATH_RESTRICTED, path, None) for path in tree.paths], False
     if instance is not None and rows is not None:
         raise UsageError("use either --instance or --instances, not both")
     if instance is not None:
@@ -168,8 +172,17 @@ def _sources(tree: DecisionTree, args) -> tuple[list[tuple[str, object]], bool]:
         raise UsageError("an instance source is required (--instance or --instances)")
     single = instance is not None
     if mode == "restricted":
-        return [(PATH_RESTRICTED, classify(tree, p)[1]) for p in points], single
-    return [(PATH_UNRESTRICTED, p) for p in points], single
+        return [(PATH_RESTRICTED, classify(tree, p)[1], p) for p in points], single
+    return [(PATH_UNRESTRICTED, p, p) for p in points], single
+
+
+def _verified_candidates(oracle, tree: DecisionTree, mode: str, source, point):
+    """The source's candidate literals and target, after checking the path
+    that an instance resolved to under --mode restricted."""
+    if mode == PATH_RESTRICTED and point is not None:
+        check_classification(oracle, point, source.prediction, source)
+    universe, target, _ = _candidates(tree, source, mode)
+    return universe, target
 
 
 def _print(args, single: bool, results: list, entry, lines) -> int:
@@ -189,7 +202,7 @@ def _cmd_classify(args) -> int:
     sources, single = _sources(tree, args)
     oracle = BruteForceOracle(tree) if args.verify else None
     rows = []
-    for _, point in sources:
+    for _, _, point in sources:
         class_id, path = classify(tree, point)
         if oracle is not None:
             check_classification(oracle, point, class_id, path)
@@ -210,7 +223,7 @@ def _cmd_redundancy(args) -> int:
     sources, single = _sources(tree, args)
     oracle = BruteForceOracle(tree) if args.verify else None
     rows = []
-    for _, path in sources:
+    for _, path, _ in sources:
         verdict = is_path_redundant(tree, path)
         if oracle is not None:
             check_redundancy(oracle, path, verdict, path.path_id)
@@ -239,14 +252,14 @@ def _cmd_explain(args) -> int:
     sources, single = _sources(tree, args)
     oracle = BruteForceOracle(tree) if args.verify else None
     results = []
-    for mode, source in sources:
+    for mode, source, point in sources:
         if mode == PATH_RESTRICTED:
             explanation = one_pi_explanation_path(tree, source)
         else:
             explanation = one_pi_explanation_instance(tree, source)
         if oracle is not None:
-            universe, target, _ = _candidates(tree, source, mode)
-            check_extraction(oracle, universe, target, explanation)
+            candidates = _verified_candidates(oracle, tree, mode, source, point)
+            check_extraction(oracle, *candidates, explanation)
         results.append(explanation)
     return _print(
         args, single, results,
@@ -261,11 +274,11 @@ def _cmd_enumerate(args) -> int:
     sources, single = _sources(tree, args)
     oracle = BruteForceOracle(tree) if args.verify else None
     blocks = []
-    for mode, source in sources:
+    for mode, source, point in sources:
         explanations = enumerate_pi_explanations(tree, source, mode, args.limit)
         if oracle is not None:
-            universe, target, _ = _candidates(tree, source, mode)
-            check_enumeration(oracle, universe, target, explanations, args.limit)
+            candidates = _verified_candidates(oracle, tree, mode, source, point)
+            check_enumeration(oracle, *candidates, explanations, args.limit)
         blocks.append(explanations)
     return _print(
         args, single, blocks,

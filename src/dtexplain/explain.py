@@ -11,9 +11,11 @@ point satisfying the current per-feature allowed sets can reach.  It runs
 on the tree's lowered form (integer node numbers, see
 :class:`~dtexplain.model.DecisionTree`), and the allowed sets are a list
 of int value masks indexed by feature, where a universal feature holds
-its whole domain's mask.  The search narrows a feature's mask when an
-edge really narrows it and undoes that on backtrack.  Being iterative, it
-is not limited by the interpreter's recursion depth.
+its whole domain's mask.  The search narrows a feature's mask in place
+when an edge really narrows it and undoes that on backtrack; on an early
+return it replays the restores still pending, so no lookup copies the
+list.  Being iterative, it is not limited by the interpreter's recursion
+depth.
 
 The per-path redundancy decision works node-locally: it follows the
 leaf's parent chain up to the root (``TreePath.steps``), and at each node
@@ -30,6 +32,21 @@ accepted drop.  Every feature tested above that node is kept and allows
 only its taken edge's values, so every consistent point takes the path's
 edges down to it, and a lookup from the root narrows nothing on the way
 (``step == entry``): its state at the start node is the same.
+
+Two subtree summaries, computed once per tree (``_below``: the features
+tested at or below a node; ``_classes``: the classes of the leaves below
+it), let a lookup skip what cannot hold a reachable contrary leaf.
+Before a lookup frees feature ``f``, the kept literals, ``f``'s among
+them, entail the target.  So the lookup skips a child whose leaves all
+have the target class, and a child below which ``f`` is not tested while
+the values of ``f`` narrowed so far still meet ``f``'s kept values: a
+contrary leaf there would be reached by a point with ``f`` in its kept
+values, that is by a point satisfying the kept literals.  No lookup is
+made when ``f`` is not tested at or below its start.  Only subtrees
+without a reachable contrary leaf are skipped and the search order is
+kept, so each lookup gives the unpruned answer after entering a subset
+of its nodes.  ``entails`` and :func:`is_path_redundant` pass no freed
+feature and skip nothing.
 """
 
 from __future__ import annotations
@@ -97,7 +114,12 @@ class RedundancyResult:
 
 
 def _contrary_leaf(
-    tree: DecisionTree, node: int, target: int, allowed: list[int]
+    tree: DecisionTree,
+    node: int,
+    target: int,
+    allowed: list[int],
+    freed: int = -1,
+    kept: int = 0,
 ) -> tuple[bool, int]:
     """Whether a leaf below node number ``node`` (inclusive) predicts a
     class other than ``target`` and is reachable by a point whose features
@@ -105,10 +127,20 @@ def _contrary_leaf(
 
     Edges are searched in declaration order and the search stops at the
     first contrary leaf.  Also returns the number of nodes entered, leaves
-    included.  ``allowed`` itself is left unchanged.
+    included.  ``allowed`` is narrowed in place and restored before the
+    return.
+
+    With ``freed``, the caller vouches that the same lookup with
+    ``allowed[freed] = kept`` finds nothing, and the search skips every
+    child that provably holds no reachable contrary leaf: one whose leaves
+    all predict ``target``, and one below which ``freed`` is not tested
+    while the values of ``freed`` narrowed so far still meet ``kept``.
     """
-    allowed = allowed[:]
     feature_of, leaf_class, children = tree._feature, tree._class, tree._children
+    prune = freed >= 0
+    if prune:
+        below, classes = tree._below, tree._classes
+        bit, other = 1 << freed, ~(1 << target)
     examined = 0
     # (node, feature, values): enter node with allowed[feature] = values
     # (feature -1: nothing narrowed); node -1 restores allowed[feature]
@@ -122,6 +154,9 @@ def _contrary_leaf(
         f = feature_of[node]
         if f < 0:
             if leaf_class[node] != target:
+                for node, feature, values in reversed(stack):
+                    if node < 0:
+                        allowed[feature] = values
                 return True, examined
             continue
         if feature >= 0:
@@ -130,10 +165,13 @@ def _contrary_leaf(
         entry = allowed[f]
         for child, mask in reversed(children[node]):
             step = mask & entry
-            if step == entry:
-                stack.append((child, -1, 0))
-            elif step:
-                stack.append((child, f, step))
+            if not step or prune and (
+                not classes[child] & other
+                or not below[child] & bit
+                and (step if f == freed else allowed[freed]) & kept
+            ):
+                continue
+            stack.append((child, -1, 0) if step == entry else (child, f, step))
     return False, examined
 
 
@@ -213,6 +251,9 @@ def _greedy(
     last accepted drop (at the leaf if neither exists).  Features tested
     above it are kept, so every consistent point follows the path there
     and the lookup would narrow nothing on the way down from the root.
+    The literals kept so far entail ``target``, so the lookup frees one
+    feature with its kept values, and none is made when the feature is not
+    tested at or below the start.
     """
     chain = [leaf]  # the path's nodes, deepest first
     while (node := tree._parent[chain[-1]]) >= 0:
@@ -223,15 +264,18 @@ def _greedy(
     entered = last = 0
     for feature in order:
         start = max(top.get(feature, 0), last)
-        values = allowed[feature]
+        kept = allowed[feature]
         allowed[feature] = tree._full[feature]
-        found, examined = _contrary_leaf(tree, chain[start], target, allowed)
-        entered += examined
-        if found:
-            allowed[feature] = values
-        else:
-            dropped.add(feature)
-            last = start
+        if tree._below[chain[start]] >> feature & 1:
+            found, examined = _contrary_leaf(
+                tree, chain[start], target, allowed, feature, kept
+            )
+            entered += examined
+            if found:
+                allowed[feature] = kept
+                continue
+        dropped.add(feature)
+        last = start
     return frozenset(lit for lit in literals if lit.feature not in dropped), entered
 
 

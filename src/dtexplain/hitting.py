@@ -13,25 +13,26 @@ instance's contrastive explanations (Ignatiev et al., NeurIPS 2019).
 Enumeration finds exactly those with one explicit-stack search from the
 root over the tree's lowered form, :func:`_contrary_family`, which carries
 the conflict set down as an int bitmask over the candidates and skips
-every subtree whose mask already contains a member it found.  Each
-candidate's remaining values are an int value mask too, indexed by
-feature; features outside the candidates are free and never narrowed.
-Berge's incremental loop, :func:`_minimal_hitting_masks`, then
-enumerates the minimal hitting sets on int masks; it needs no separate
-minimisation of the family.  :func:`build_hitting_sets` still lists one
+every subtree whose mask already contains a member it found, or whose
+leaves all have the predicted class.  Each candidate's remaining values
+are an int value mask too, indexed by feature; features outside the
+candidates are free and never narrowed.  Berge's incremental loop,
+:func:`_minimal_hitting_masks`, then enumerates the minimal hitting sets
+on those masks as they are; it needs no separate minimisation of the
+family.  :func:`build_hitting_sets` still lists one
 member per contrary path, for inspection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .model import (
     DecisionTree,
     Instance,
     Literal,
     TreePath,
-    _bits,
     _point_literals,
     classify,
 )
@@ -139,7 +140,8 @@ def _contrary_family(
     and restored on backtrack; its bit is set when none remain, and
     features outside the universe are never narrowed.  Masks only grow
     downwards, so a subtree whose mask already contains a member is
-    skipped.  Each node is entered at most once.
+    skipped, and so is one whose leaves all predict ``target``.  Each node
+    is entered at most once.
     """
     bit_of = [0] * len(tree.space)
     running = [0] * len(tree.space)  # a candidate's remaining value mask
@@ -147,6 +149,7 @@ def _contrary_family(
         bit_of[lit.feature] = 1 << i
         running[lit.feature] = lit.mask
     feature_of, leaf_class, children = tree._feature, tree._class, tree._children
+    classes, other = tree._classes, ~(1 << target)
     family: dict[int, str] = {}
     entered = 0
     # (node, mask, feature, values): enter node with running[feature] =
@@ -182,10 +185,13 @@ def _contrary_family(
         bit = bit_of[f]
         if not bit or mask & bit:
             for child, _ in reversed(children[node]):
-                stack.append((child, mask, -1, 0))
+                if classes[child] & other:
+                    stack.append((child, mask, -1, 0))
             continue
         entry = running[f]
         for child, values in reversed(children[node]):
+            if not classes[child] & other:
+                continue
             step = values & entry
             if not step:
                 stack.append((child, mask | bit, -1, 0))
@@ -225,28 +231,37 @@ def _minimal_hitting_masks(family: list[int]) -> list[int]:
     return partial
 
 
-def enumerate_mhs(
-    instance: HittingSetInstance, limit: int | None = None
-) -> list[frozenset[Literal]]:
-    """All minimal hitting sets of the family, as literal sets.
+def _hitting_sets(family: Iterable[int], limit: int | None) -> list[list[int]]:
+    """All minimal hitting sets of a family of int bitmasks, as ascending
+    index lists sorted by (cardinality, indices) and cut at ``limit``.
 
     Berge's loop runs on the distinct members, smallest first, so the
-    partial sets stay small.  The output is sorted by (cardinality,
-    universe indices) and cut at ``limit`` if given; that order needs
-    every set, so the search is always complete.  An empty family has
-    exactly the empty set as its sole answer.  A negative ``limit`` raises
-    ValueError.
+    partial sets stay small.  The output order needs every set, so the
+    search is always complete.  A negative ``limit`` raises ValueError.
     """
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    masks = {sum(1 << i for i in members) for _, members in instance.sets}
-    family = sorted(masks, key=lambda m: (m.bit_count(), m))
+    members = sorted(set(family), key=lambda m: (m.bit_count(), m))
     found = [
-        [i for i in range(len(instance.universe)) if mask >> i & 1]
-        for mask in _minimal_hitting_masks(family)
+        [i for i in range(mask.bit_length()) if mask >> i & 1]
+        for mask in _minimal_hitting_masks(members)
     ]
     found.sort(key=lambda s: (len(s), s))
-    return [frozenset(instance.universe[i] for i in s) for s in found[:limit]]
+    return found[:limit]
+
+
+def enumerate_mhs(
+    instance: HittingSetInstance, limit: int | None = None
+) -> list[frozenset[Literal]]:
+    """All minimal hitting sets of the family, as literal sets, sorted by
+    (cardinality, universe indices) and cut at ``limit`` if given.  An
+    empty family has exactly the empty set as its sole answer.  A negative
+    ``limit`` raises ValueError.
+    """
+    masks = (sum(1 << i for i in members) for _, members in instance.sets)
+    return [
+        frozenset(instance.universe[i] for i in s) for s in _hitting_sets(masks, limit)
+    ]
 
 
 def _enumerate(
@@ -259,11 +274,9 @@ def _enumerate(
     family search entered."""
     universe, target, tag = _candidates(tree, source, mode)
     family, entered = _contrary_family(tree, universe, target)
-    sets = tuple((path_id, _bits(mask)) for mask, path_id in family.items())
-    found = enumerate_mhs(HittingSetInstance(universe, sets), limit)
     return [
-        Explanation(literals=lits, target=target, mode=mode, source=tag)
-        for lits in found
+        Explanation(frozenset(universe[i] for i in s), target, mode, tag)
+        for s in _hitting_sets(family, limit)
     ], entered
 
 

@@ -530,7 +530,10 @@ class DecisionTree:
         ``_feature`` (-1 at a leaf), a leaf's ``_class`` and ``_leaf_path``,
         ``_children`` (``(child, value mask)`` per edge), ``_parent`` (-1 at
         the root) and ``_above`` (a re-tested feature's mask on entry, else
-        0).  A value mask has bit ``v`` set for value index ``v``."""
+        0).  A value mask has bit ``v`` set for value index ``v``.  Two
+        subtree summaries follow: ``_below`` (bit ``f`` for each feature
+        tested at or below the node) and ``_classes`` (bit ``c`` for each
+        class of a leaf at or below it)."""
         n = len(self.nodes)
         ids = self._ids = [self.root]
         feature = self._feature = [-1] * n
@@ -578,6 +581,14 @@ class DecisionTree:
         # every numbered node was entered unless an edge was empty
         if empty is not None or len(ids) < n:
             self._reject_unreached(parents, empty)
+        # children are numbered after their parent: folding each node into
+        # its parent in reverse order fills both subtree summaries
+        below = self._below = [1 << f if f >= 0 else 0 for f in feature]
+        classes = self._classes = [1 << c if c >= 0 else 0 for c in leaf_class]
+        for i in range(n - 1, 0, -1):
+            p = parent[i]
+            below[p] |= below[i]
+            classes[p] |= classes[i]
         return tuple(paths)
 
     def _path_prefix(self, class_id: int) -> str:

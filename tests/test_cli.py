@@ -519,8 +519,21 @@ def _drop_one_more(real):
             "dtexplain.report.one_pi_explanation_path", _drop_one_more,
             ("stats", "-t", fixture_path("articles")),
         ),
+        (  # the instance resolves to P2, whose explanation is {x1=1}
+            "dtexplain.cli.classify", _another_path_of_its_class,
+            ("explain", "-t", fixture_path("or_tree"), "-i", '["0", "1"]',
+             "--mode", "restricted"),
+        ),
+        (
+            "dtexplain.cli.classify", _another_path_of_its_class,
+            ("enumerate", "-t", fixture_path("or_tree"), "-i", '["0", "1"]',
+             "--mode", "restricted"),
+        ),
     ],
-    ids=["classify-path", "explain-path", "explain-instance", "stats-extraction"],
+    ids=[
+        "classify-path", "explain-path", "explain-instance", "stats-extraction",
+        "explain-restricted-instance", "enumerate-restricted-instance",
+    ],
 )
 def test_verify_runs_the_checker_of_each_answer_kind(
     capsys, monkeypatch, target, liar, argv

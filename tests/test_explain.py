@@ -308,6 +308,78 @@ def test_path_start_lookups_match_root_start_on_random_trees():
         assert_path_start_matches_root_start(tree)
 
 
+def unpruned_greedy(tree, literals, order, target, leaf):
+    """The greedy extraction with lookups started on the source's path, as
+    ``_greedy`` starts them, but every lookup made and none told which
+    feature it frees, so no subtree is skipped."""
+    chain = [leaf]
+    while (node := tree._parent[chain[-1]]) >= 0:
+        chain.append(node)
+    top = {tree._feature[node]: k for k, node in enumerate(chain)}
+    allowed = allowed_masks(tree, literals)
+    dropped, entered, last = set(), 0, 0
+    for feature in order:
+        start = max(top.get(feature, 0), last)
+        values = allowed[feature]
+        allowed[feature] = (1 << len(tree.space.feature(feature).domain)) - 1
+        before = allowed[:]
+        found, examined = _contrary_leaf(tree, chain[start], target, allowed)
+        assert allowed == before  # restored on either return
+        entered += examined
+        if found:
+            allowed[feature] = values
+        else:
+            dropped.add(feature)
+            last = start
+    return frozenset(lit for lit in literals if lit.feature not in dropped), entered
+
+
+def assert_pruning_matches_unpruned(tree):
+    """Skipping the subtrees that hold no reachable contrary leaf drops the
+    same features and enters no more nodes."""
+    for path in tree.paths:
+        order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
+        args = (path.literals, order, path.prediction, path.leaf)
+        want, most = unpruned_greedy(tree, *args)
+        found, entered = _greedy(tree, *args)
+        assert found == want
+        assert entered <= most
+    rng = random.Random(31)
+    for _ in range(30):
+        point = random_instance(tree.space, rng)
+        target, path = classify(tree, point)
+        literals = instance_literals(tree.space, point)
+        args = (literals, range(len(literals) - 1, -1, -1), target, path.leaf)
+        want, most = unpruned_greedy(tree, *args)
+        found, entered = _greedy(tree, *args)
+        assert found == want
+        assert entered <= most
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [pytest.param(load_tree(name), id=name) for name in FIXTURE_NAMES]
+    + [pytest.param(or_chain_tree(60), id="or_chain-60")],
+)
+def test_pruned_lookups_match_unpruned(tree):
+    assert_pruning_matches_unpruned(tree)
+
+
+def test_pruned_lookups_match_unpruned_on_random_trees():
+    for seed in range(200):
+        assert_pruning_matches_unpruned(random_tree(seed))
+
+
+@pytest.mark.parametrize("d", [50, 100, 200])
+def test_or_chain_extraction_enters_quadratically_many_nodes(d):
+    """Over all d + 1 paths of ``or_chain(d)`` path extraction enters at
+    most 2 d^2 nodes (d^2 + 3d today); lookups that searched every subtree
+    still open entered a cubic number."""
+    tree = or_chain_tree(d)
+    entered = sum(_extract_path(tree, path)[1] for path in tree.paths)
+    assert entered <= 2 * d * d
+
+
 # -- entailment -------------------------------------------------------------------
 
 

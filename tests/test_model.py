@@ -601,6 +601,31 @@ def test_repeated_feature_aggregates_by_intersection():
     assert literal_names(tree, q1.literals) == {"x1=b"}
 
 
+@pytest.mark.parametrize("source", ["fixtures", "random_tree(0..199)"])
+def test_subtree_summaries_match_a_walk_of_the_node_dict(source):
+    """``_below`` and ``_classes`` hold, per node number, the features
+    tested and the leaf classes found by walking ``tree.nodes`` from it."""
+    from dtexplain import Leaf, random_tree
+
+    if source == "fixtures":
+        trees = [load_tree(name) for name in FIXTURE_NAMES]
+    else:
+        trees = [random_tree(seed) for seed in range(200)]
+    for tree in trees:
+        assert len(tree._below) == len(tree._classes) == tree.node_count
+        for i, node_id in enumerate(tree._ids):
+            features, classes, todo = set(), set(), [node_id]
+            while todo:
+                node = tree.nodes[todo.pop()]
+                if isinstance(node, Leaf):
+                    classes.add(node.class_id)
+                else:
+                    features.add(node.feature)
+                    todo.extend(edge.child for edge in node.edges)
+            assert tree._below[i] == sum(1 << f for f in features)
+            assert tree._classes[i] == sum(1 << c for c in classes)
+
+
 def test_constant_tree_single_empty_path():
     tree = load_tree("constant")
     assert len(tree.paths) == 1
