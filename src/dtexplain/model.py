@@ -273,7 +273,8 @@ class Literal:
     """A feature and the values it may take, as an int value mask (bit
     ``v`` for value index ``v``): one bit for an equality literal, several
     for a negated or generalized one.  Equality, hashing and the repr come
-    from ``(feature, mask)``; :attr:`allowed` derives the value set."""
+    from ``(feature, mask)``; :attr:`allowed` derives the value set for
+    rendering."""
 
     feature: int
     mask: int

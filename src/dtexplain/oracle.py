@@ -2,13 +2,16 @@
 
 Everything here works by exhausting feature-space points with its own
 little tree walker, independently of the traversal-based fast paths, so
-the two sides can be checked against each other.  Operations refuse
-inputs beyond the budget instead of degrading.
+the two sides can be checked against each other.  Each point is walked
+at most once per tree; entailment queries are then answered by int
+bitset algebra over the points.  Operations refuse inputs beyond the
+budget instead of degrading.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,8 +47,12 @@ class BudgetExceededError(ValueError):
 class BruteForceOracle:
     """Exhaustive checker bound to one tree.
 
-    Memoizes entailment answers per literal set, which matters when many
-    overlapping queries hit the same tree (as the equivalence suites do).
+    Entailment is decided on int bitsets over the space's points, bit
+    ``i`` standing for the i-th point of :meth:`FeatureSpace.points`.  The
+    first query walks every point once and records which points reach
+    each class; a literal's points form a periodic block pattern, built
+    without a walk and cached per feature and mask.  A query ANDs its
+    literals' bitsets and looks for a point of another class.
     """
 
     def __init__(self, tree: DecisionTree, budget: OracleBudget = DEFAULT_BUDGET):
@@ -56,7 +63,9 @@ class BruteForceOracle:
                 f"feature space has {tree.space.point_count()} points, "
                 f"budget allows {budget.max_points}"
             )
-        self._memo: dict[frozenset[Literal], bool] = {}
+        self._all_points = (1 << tree.space.point_count()) - 1
+        self._others: dict[int, int] | None = None  # per class, by the first query
+        self._selections: list[dict[int, int]] = [{} for _ in tree.space.features]
 
     def _walk(self, point: Sequence[int]) -> str:
         """The id of the leaf that ``point`` reaches."""
@@ -70,40 +79,59 @@ class BruteForceOracle:
                     break
         return node_id
 
-    def _consistent_points(self, literals: Iterable[Literal]):
-        allowed: dict[int, frozenset[int]] = {}
-        for lit in literals:
-            if lit.feature in allowed:
-                raise ValueError(
-                    f"more than one literal for feature index {lit.feature}"
-                )
-            allowed[lit.feature] = lit.allowed
-        axes = [
-            sorted(allowed.get(f.index, range(len(f.domain))))
-            for f in self.tree.space.features
-        ]
-        return itertools.product(*axes)
+    def _contrary(self, class_id: int) -> int:
+        """The points that reach a leaf of another class than ``class_id``;
+        the first call walks every point of the space once."""
+        if self._others is None:
+            nodes = self.tree.nodes
+            size = (self.tree.space.point_count() + 7) // 8
+            rows = [bytearray(size) for _ in self.tree.classes]
+            for i, point in enumerate(self.tree.space.points()):
+                rows[nodes[self._walk(point)].class_id][i >> 3] |= 1 << (i & 7)
+            self._others = {
+                c: self._all_points & ~int.from_bytes(row, "little")
+                for c, row in enumerate(rows)
+            }
+        return self._others.get(class_id, self._all_points)
+
+    def _selection(self, lit: Literal) -> int:
+        """The points whose value on ``lit.feature`` lies in ``lit.mask``.
+        The last feature varies fastest, so value ``v`` holds the ``v``-th
+        run of ``stride`` points in every period of the pattern; the
+        pattern is spelt in binary with point 0 last, as its lowest bit."""
+        cache = self._selections[lit.feature]
+        found = cache.get(lit.mask)
+        if found is None:
+            features = self.tree.space.features
+            stride = math.prod(len(f.domain) for f in features[lit.feature + 1 :])
+            period = b"".join(
+                (b"1" if lit.mask >> v & 1 else b"0") * stride
+                for v in range(len(features[lit.feature].domain))
+            )
+            repeats = self.tree.space.point_count() // len(period)
+            found = cache[lit.mask] = int((period * repeats)[::-1], 2)
+        return found
 
     def entails(self, literals: Iterable[Literal], class_id: int) -> bool:
         """Exhaustive entailment: every point consistent with the literals
         classifies to ``class_id``.  Raises ValueError for a literal outside
-        the tree's feature space."""
-        key = frozenset(literals)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        _check_in_space(self.tree._full, key)
-        nodes, leaves = self.tree.nodes, map(self._walk, self._consistent_points(key))
-        result = all(nodes[leaf].class_id == class_id for leaf in leaves)
-        self._memo[key] = result
-        return result
+        the tree's feature space and for two literals on one feature."""
+        consistent, seen = self._all_points, set()
+        for lit in _check_in_space(self.tree._full, literals):
+            if lit.feature in seen:
+                raise ValueError(
+                    f"more than one literal for feature index {lit.feature}"
+                )
+            seen.add(lit.feature)
+            consistent &= self._selection(lit)
+        return not consistent & self._contrary(class_id)
 
     def enumerate_pi(
         self, universe: Sequence[Literal], class_id: int
     ) -> list[Explanation]:
         """All subset-minimal entailing subsets of the universe, by an
         ascending-cardinality sweep with superset pruning."""
-        universe = tuple(universe)
+        universe = _check_in_space(self.tree._full, universe)
         if len(universe) > self.budget.max_universe:
             raise BudgetExceededError(
                 f"universe has {len(universe)} literals, "
@@ -112,13 +140,18 @@ class BruteForceOracle:
         feats = [lit.feature for lit in universe]
         if len(set(feats)) != len(feats):
             raise ValueError("universe must hold one literal per feature")
+        selections = [self._selection(lit) for lit in universe]
+        contrary = self._contrary(class_id)
         minimal: list[frozenset[int]] = []
         for size in range(len(universe) + 1):
             for combo in itertools.combinations(range(len(universe)), size):
                 chosen = frozenset(combo)
                 if any(m <= chosen for m in minimal):
                     continue
-                if self.entails([universe[i] for i in combo], class_id):
+                consistent = self._all_points
+                for i in combo:
+                    consistent &= selections[i]
+                if not consistent & contrary:
                     minimal.append(chosen)
         return [
             Explanation(

@@ -709,15 +709,15 @@ def test_masks_are_built_only_in_the_model():
 
 
 def test_literals_store_only_their_mask():
-    """A literal stores ``(feature, mask)``; only model.py and oracle.py
-    read the derived value set, and model.py sets no attribute behind a
-    frozen dataclass's back."""
+    """A literal stores ``(feature, mask)``; only model.py reads the
+    derived value set, and model.py sets no attribute behind a frozen
+    dataclass's back."""
     assert Literal.__slots__ == ("feature", "mask")
     package = pathlib.Path(dtexplain.__file__).parent
     for module in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(module.read_text(), str(module))):
             if isinstance(node, ast.Attribute) and node.attr == "allowed":
-                assert module.name in ("model.py", "oracle.py"), (
+                assert module.name == "model.py", (
                     f"{module.name} reads .allowed"
                 )
             if module.name == "model.py" and isinstance(node, ast.Call):
