@@ -181,7 +181,7 @@ def _verified_candidates(oracle, tree: DecisionTree, mode: str, source, point):
     that an instance resolved to under --mode restricted."""
     if mode == PATH_RESTRICTED and point is not None:
         check_classification(oracle, point, source.prediction, source)
-    universe, target, _ = _candidates(tree, source, mode)
+    universe, target, _, _ = _candidates(tree, source, mode)
     return universe, target
 
 

@@ -5,54 +5,33 @@ A path is explanation-redundant when some tested feature can be declared
 becoming reachable; the remaining literals then still entail the
 prediction, so the path's literal set strictly contains a PI-explanation.
 
-Every question here is answered by one lookup, :func:`_contrary_leaf`: an
-explicit-stack depth-first search for a leaf of another class that some
-point satisfying the current per-feature allowed sets can reach.  It runs
-on the tree's lowered form (integer node numbers, see
-:class:`~dtexplain.model.DecisionTree`), and the allowed sets are a list
-of int value masks indexed by feature, where a universal feature holds
-its whole domain's mask.  The search narrows a feature's mask in place
-when an edge really narrows it and undoes that on backtrack; on an early
-return it replays the restores still pending, so no lookup copies the
-list.  Being iterative, it is not limited by the interpreter's recursion
-depth.
+Every question here is answered by one lookup kernel,
+:func:`_contrary_leaf`: an explicit-stack depth-first search, on the
+tree's lowered form (integer node numbers, see
+:class:`~dtexplain.model.DecisionTree`), for a leaf of another class that
+a point can reach whose features take values in one int mask per feature
+(a universal feature holds its whole domain's mask).  It narrows the
+masks in place and restores them before it returns, and being iterative
+it is not limited by the interpreter's recursion depth.
 
-The per-path redundancy decision works node-locally: it follows the
-leaf's parent chain up to the root (``TreePath.steps``), and at each node
-searches only the subtrees hanging off the untaken edges.  Those subtrees
-are pairwise disjoint across all path nodes, so the whole decision
-examines each tree node at most once, which is the node-visit bound.
-
-Extraction of one PI-explanation is greedy: each candidate feature in turn
-is dropped when, with every previously dropped feature still universal, a
-lookup finds no contrary leaf.  Every drop is therefore an entailment test
-of the literals kept.  A lookup starts on the source's path, at the
-shallower of the tried feature's shallowest test and the start of the last
-accepted drop.  Every feature tested above that node is kept and allows
-only its taken edge's values, so every consistent point takes the path's
-edges down to it, and a lookup from the root narrows nothing on the way
-(``step == entry``): its state at the start node is the same.
-
-Two subtree summaries, computed once per tree (``_below``: the features
+One node-local scan per source (a path's literals, or an instance's
+equality literals), :func:`_scan`, decides which features can be dropped
+alone, examining each tree node at most once.  The features it cannot
+drop form the *core*, which every PI-explanation drawn from the source
+contains; the first one it can drop is the redundancy witness.
+Extraction returns the core when the core alone entails the prediction.
+Otherwise it drops the other features greedily, each when a lookup with
+it freed finds no contrary leaf.  Each lookup starts on the source's path
+and skips the subtrees that two summaries (``_below``: the features
 tested at or below a node; ``_classes``: the classes of the leaves below
-it), let a lookup skip what cannot hold a reachable contrary leaf.
-Before a lookup frees feature ``f``, the kept literals, ``f``'s among
-them, entail the target.  So the lookup skips a child whose leaves all
-have the target class, and a child below which ``f`` is not tested while
-the values of ``f`` narrowed so far still meet ``f``'s kept values: a
-contrary leaf there would be reached by a point with ``f`` in its kept
-values, that is by a point satisfying the kept literals.  No lookup is
-made when ``f`` is not tested at or below its start.  Only subtrees
-without a reachable contrary leaf are skipped and the search order is
-kept, so each lookup gives the unpruned answer after entering a subset
-of its nodes.  ``entails`` and :func:`is_path_redundant` pass no freed
-feature and skip nothing.
+it) show to hold no reachable contrary leaf, so it gives the unpruned
+answer after entering a subset of its nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import (
     DecisionTree,
@@ -177,13 +156,9 @@ def _contrary_leaf(
 
 def _allowed(tree: DecisionTree, literals: Iterable[Literal]) -> list[int]:
     """One value mask per feature: its literal's values, else the whole
-    domain."""
+    domain.  The literals name distinct features."""
     allowed = tree._full[:]
-    seen = set()
     for lit in literals:
-        if lit.feature in seen:
-            raise ValueError(f"more than one literal for feature index {lit.feature}")
-        seen.add(lit.feature)
         allowed[lit.feature] = lit.mask
     return allowed
 
@@ -191,47 +166,80 @@ def _allowed(tree: DecisionTree, literals: Iterable[Literal]) -> list[int]:
 def entails(tree: DecisionTree, literals: Iterable[Literal], class_id: int) -> bool:
     """True iff every point consistent with the literals classifies to
     ``class_id``; a single root-down traversal pruning disjoint edges.
-    Raises ValueError for a literal outside the tree's feature space."""
+    Raises ValueError for a literal outside the tree's feature space or
+    two literals on one feature."""
     literals = _check_in_space(tree._full, literals)
+    if len({lit.feature for lit in literals}) < len(literals):
+        raise ValueError("more than one literal for a feature")
     return not _contrary_leaf(tree, 0, class_id, _allowed(tree, literals))[0]
+
+
+class _Scan(NamedTuple):
+    """What one walk up a source's path finds; see :func:`_scan`."""
+
+    core: int  # bit f for each feature the source cannot drop alone
+    top: dict[int, int]  # tested feature -> its shallowest test, deepest first
+    leaf: int
+    masks: list[int]  # the literals' value masks by feature; copy to narrow
+    verdict: RedundancyResult
+    visits: int  # nodes examined by the whole walk
+
+
+def _scan(
+    tree: DecisionTree,
+    leaf: int,
+    literals: Iterable[Literal],
+    target: int,
+    stop: bool = False,
+) -> _Scan:
+    """Decide, for each feature tested on the path to ``leaf``, whether
+    ``literals`` without it still entail ``target``.
+
+    The path is walked deepest first.  At a node testing feature ``f``,
+    one lookup from the node searches the untaken edges' subtrees, with
+    ``f`` allowed every value that reaches the node but leaves the path.
+    A feature whose lookup finds a contrary leaf is in the core; the first
+    one whose shallowest test is passed with none found is the redundancy
+    witness, where ``stop`` ends the walk.
+    """
+    parent, feature_of, children = tree._parent, tree._feature, tree._children
+    above_of, full = tree._above, tree._full
+    allowed = _allowed(tree, literals)
+    top: dict[int, int] = {}
+    core = visits = 0
+    verdict = None
+    child = leaf
+    while (node := parent[child]) >= 0:
+        f = feature_of[node]
+        top[f] = node
+        if core >> f & 1:
+            visits += 1
+        else:
+            for other, taken in children[node]:
+                if other == child:
+                    break
+            kept, above = allowed[f], above_of[node]
+            allowed[f] = (above or full[f]) & ~taken
+            found, examined = _contrary_leaf(tree, node, target, allowed)
+            allowed[f] = kept
+            visits += examined
+            if found:
+                core |= 1 << f
+            elif verdict is None and not above:
+                verdict = RedundancyResult(True, f, visits)
+                if stop:
+                    break
+        child = node
+    verdict = verdict or RedundancyResult(False, None, visits)
+    return _Scan(core, top, leaf, allowed, verdict, visits)
 
 
 def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
     """Decide whether a path's literal set strictly contains a
-    PI-explanation; linear in the tree size.
-
-    Path nodes are examined deepest-first.  A feature is droppable when,
-    with the rest of the path fixed and the feature free below each of its
-    nodes, no untaken edge of any of its nodes opens a consistent contrary
-    sub-path; the witness is the first feature whose nodes have all been
-    examined that way, which happens at its shallowest test.
-    """
+    PI-explanation, in time linear in the tree size; the witness is the
+    first feature, deepest first, that it can drop alone."""
     tree.check_owns(path)
-    visits = 0
-    base = _allowed(tree, path.literals)
-    allowed = base[:]
-    failed: set[int] = set()
-    for node, taken in path.steps():
-        feature = tree._feature[node]
-        visits += 1
-        if feature in failed:
-            continue
-        above = tree._above[node]
-        entry = above or tree._full[feature]
-        for child, mask in tree._children[node]:
-            step = mask & entry
-            if child == taken or not step:
-                continue
-            allowed[feature] = step
-            found, examined = _contrary_leaf(tree, child, path.prediction, allowed)
-            visits += examined
-            if found:
-                failed.add(feature)
-                break
-        allowed[feature] = base[feature]
-        if feature not in failed and not above:
-            return RedundancyResult(True, feature, visits)
-    return RedundancyResult(False, None, visits)
+    return _scan(tree, path.leaf, path.literals, path.prediction, stop=True).verdict
 
 
 def _greedy(
@@ -239,36 +247,35 @@ def _greedy(
     literals: tuple[Literal, ...],
     order: Iterable[int],
     target: int,
-    leaf: int,
+    scan: _Scan,
 ) -> tuple[frozenset[Literal], int]:
-    """Drop each feature of ``order`` in turn from ``literals`` when the
-    rest still leaves every contrary leaf unreachable; the literals that
-    stay form a PI-explanation.  Also returns the number of nodes the
-    lookups entered.
+    """Drop each feature of ``order`` outside the scan's core in turn from
+    ``literals`` when a lookup with it freed finds no contrary leaf; the
+    literals that stay form a PI-explanation.  Also returns the number of
+    nodes the lookups entered.
 
-    Each lookup starts on the path to ``leaf``, the source's leaf, at the
-    shallower of the tried feature's shallowest test and the start of the
-    last accepted drop (at the leaf if neither exists).  Features tested
-    above it are kept, so every consistent point follows the path there
-    and the lookup would narrow nothing on the way down from the root.
-    The literals kept so far entail ``target``, so the lookup frees one
-    feature with its kept values, and none is made when the feature is not
-    tested at or below the start.
+    The first drop needs no lookup: the scan found it sound.  A lookup
+    starts at the shallower of the tried feature's shallowest test and the
+    start of the last accepted drop (at the leaf if neither exists), above
+    which every tested feature is kept.  It frees one feature with its
+    kept values, and none is made when that feature is not tested at or
+    below the start.
     """
-    chain = [leaf]  # the path's nodes, deepest first
-    while (node := tree._parent[chain[-1]]) >= 0:
-        chain.append(node)
-    top = {tree._feature[node]: k for k, node in enumerate(chain)}
-    allowed = _allowed(tree, literals)
+    core, top, leaf = scan.core, scan.top, scan.leaf
+    full, below = tree._full, tree._below
+    allowed = scan.masks[:]
     dropped = set()
-    entered = last = 0
+    entered = 0
+    last = leaf
     for feature in order:
-        start = max(top.get(feature, 0), last)
+        if core >> feature & 1:
+            continue
+        start = min(top.get(feature, leaf), last)
         kept = allowed[feature]
-        allowed[feature] = tree._full[feature]
-        if tree._below[chain[start]] >> feature & 1:
+        allowed[feature] = full[feature]
+        if dropped and below[start] >> feature & 1:
             found, examined = _contrary_leaf(
-                tree, chain[start], target, allowed, feature, kept
+                tree, start, target, allowed, feature, kept
             )
             entered += examined
             if found:
@@ -279,12 +286,44 @@ def _greedy(
     return frozenset(lit for lit in literals if lit.feature not in dropped), entered
 
 
-def _extract_path(tree: DecisionTree, path: TreePath) -> tuple[Explanation, int]:
+def _extract(
+    tree: DecisionTree,
+    literals: tuple[Literal, ...],
+    order: Iterable[int],
+    target: int,
+    scan: _Scan,
+) -> tuple[frozenset[Literal], int]:
+    """One PI-explanation drawn from ``literals``, and the number of nodes
+    its lookups entered: the core if it alone entails ``target``, which one
+    lookup from the shallowest test outside the core decides, else
+    :func:`_greedy`'s."""
+    core, start = scan.core, scan.leaf
+    entered = 0
+    if core:
+        allowed = tree._full[:]
+        for f, node in scan.top.items():
+            if core >> f & 1:
+                allowed[f] = scan.masks[f]
+            elif node < start:
+                start = node
+        found, entered = _contrary_leaf(tree, start, target, allowed)
+        if not found:
+            kept = frozenset(lit for lit in literals if core >> lit.feature & 1)
+            return kept, entered
+    kept, examined = _greedy(tree, literals, order, target, scan)
+    return kept, entered + examined
+
+
+def _extract_path(
+    tree: DecisionTree, path: TreePath, scan: _Scan | None = None
+) -> tuple[Explanation, int]:
     """:func:`one_pi_explanation_path` and the number of tree nodes its
-    lookups entered."""
+    lookups entered; ``scan`` is the path's :func:`_scan` if already
+    made."""
     tree.check_owns(path)
-    order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
-    literals, entered = _greedy(tree, path.literals, order, path.prediction, path.leaf)
+    if scan is None:
+        scan = _scan(tree, path.leaf, path.literals, path.prediction)
+    literals, entered = _extract(tree, path.literals, scan.top, path.prediction, scan)
     found = Explanation(literals, path.prediction, PATH_RESTRICTED, path.path_id)
     return found, entered
 
@@ -307,10 +346,19 @@ def one_pi_explanation_instance(tree: DecisionTree, instance: Instance) -> Expla
     PI-explanations.
     """
     target, path = classify(tree, instance)
+    scan = _scan(tree, path.leaf, _point_literals(instance), target)
+    return _extract_instance(tree, instance, target, scan)
+
+
+def _extract_instance(
+    tree: DecisionTree, instance: Instance, target: int, scan: _Scan
+) -> Explanation:
+    """:func:`one_pi_explanation_instance` of an instance of class
+    ``target`` whose scan is made."""
     literals = _point_literals(instance)
     order = range(len(literals) - 1, -1, -1)
     return Explanation(
-        literals=_greedy(tree, literals, order, target, path.leaf)[0],
+        literals=_extract(tree, literals, order, target, scan)[0],
         target=target,
         mode=PATH_UNRESTRICTED,
         source=tuple(instance),

@@ -10,17 +10,20 @@ PI-explanations drawn from R.
 Whatever hits a member hits its supersets, so only the distinct
 inclusion-minimal members matter: in path-unrestricted mode, the
 instance's contrastive explanations (Ignatiev et al., NeurIPS 2019).
-Enumeration finds exactly those with one explicit-stack search from the
-root over the tree's lowered form, :func:`_contrary_family`, which carries
-the conflict set down as an int bitmask over the candidates and skips
-every subtree whose mask already contains a member it found, or whose
-leaves all have the predicted class.  Each candidate's remaining values
-are an int value mask too, indexed by feature; features outside the
-candidates are free and never narrowed.  Berge's incremental loop,
-:func:`_minimal_hitting_masks`, then enumerates the minimal hitting sets
-on those masks as they are; it needs no separate minimisation of the
-family.  :func:`build_hitting_sets` still lists one
-member per contrary path, for inspection.
+The source's scan first finds its core, the candidates whose singletons
+are members.  One explicit-stack search from the root over the tree's
+lowered form, :func:`_contrary_family`, finds the other minimal members:
+it carries the conflict set down as an int bitmask over the candidates,
+takes no edge that sets a core bit, and skips every subtree whose mask
+already contains a member it found, or whose leaves all have the
+predicted class.  Each candidate's remaining values are an int value mask
+too, indexed by feature; features outside the candidates are free and
+never narrowed.  Berge's incremental loop, :func:`_minimal_hitting_masks`,
+then enumerates the minimal hitting sets of those members as they are,
+with no separate minimisation of the family, and each PI-explanation is
+the core plus one of them.
+:func:`build_hitting_sets` still lists one member per contrary path, for
+inspection.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .model import (
     _point_literals,
     classify,
 )
-from .explain import Explanation, PATH_RESTRICTED, PATH_UNRESTRICTED
+from .explain import Explanation, PATH_RESTRICTED, PATH_UNRESTRICTED, _Scan, _scan
 
 __all__ = [
     "HittingSetError",
@@ -77,19 +80,20 @@ class HittingSetInstance:
 
 def _candidates(
     tree: DecisionTree, source: TreePath | Instance, mode: str
-) -> tuple[tuple[Literal, ...], int, str | tuple]:
-    """The candidate universe, the predicted class and the explanation tag
-    of a path (path-restricted) or an instance (path-unrestricted)."""
+) -> tuple[tuple[Literal, ...], int, str | tuple, int]:
+    """The candidate universe, the predicted class, the explanation tag
+    and the leaf of a path (path-restricted) or an instance
+    (path-unrestricted)."""
     if mode == PATH_RESTRICTED:
         if not isinstance(source, TreePath):
             raise HittingSetError("path-restricted mode needs a tree path source")
         tree.check_owns(source)
-        return source.literals, source.prediction, source.path_id
+        return source.literals, source.prediction, source.path_id, source.leaf
     if mode == PATH_UNRESTRICTED:
         if isinstance(source, TreePath):
             raise HittingSetError("path-unrestricted mode needs an instance source")
-        target, _ = classify(tree, source)
-        return _point_literals(source), target, tuple(source)
+        target, path = classify(tree, source)
+        return _point_literals(source), target, tuple(source), path.leaf
     raise HittingSetError(f"unknown mode {mode!r}")
 
 
@@ -112,7 +116,7 @@ def build_hitting_sets(
     instance.  Every contrary path must be inconsistent with at least one
     candidate; an empty family member signals a malformed tree/source pair.
     """
-    universe, target, _ = _candidates(tree, source, mode)
+    universe, target, _, _ = _candidates(tree, source, mode)
     position = {lit.feature: (i, lit.mask) for i, lit in enumerate(universe)}
     sets = []
     for contrary in (p for p in tree.paths if p.prediction != target):
@@ -128,7 +132,7 @@ def build_hitting_sets(
 
 
 def _contrary_family(
-    tree: DecisionTree, universe: tuple[Literal, ...], target: int
+    tree: DecisionTree, universe: tuple[Literal, ...], target: int, core: int = 0
 ) -> tuple[dict[int, str], int]:
     """The distinct inclusion-minimal conflict sets of the contrary leaves,
     as int bitmasks over ``universe`` mapped to the leaves' path ids, and
@@ -142,6 +146,9 @@ def _contrary_family(
     downwards, so a subtree whose mask already contains a member is
     skipped, and so is one whose leaves all predict ``target``.  Each node
     is entered at most once.
+
+    ``core`` masks candidates whose singletons are known members; they are
+    left out, and so is every edge that leaves one of them no value.
     """
     bit_of = [0] * len(tree.space)
     running = [0] * len(tree.space)  # a candidate's remaining value mask
@@ -194,7 +201,8 @@ def _contrary_family(
                 continue
             step = values & entry
             if not step:
-                stack.append((child, mask | bit, -1, 0))
+                if not bit & core:
+                    stack.append((child, mask | bit, -1, 0))
             elif step == entry:
                 stack.append((child, mask, -1, 0))
             else:
@@ -269,13 +277,18 @@ def _enumerate(
     source: TreePath | Instance,
     mode: str,
     limit: int | None,
+    scan: _Scan | None = None,
 ) -> tuple[list[Explanation], int]:
     """:func:`enumerate_pi_explanations` and the number of tree nodes the
-    family search entered."""
-    universe, target, tag = _candidates(tree, source, mode)
-    family, entered = _contrary_family(tree, universe, target)
+    family search entered; ``scan`` is the source's
+    :func:`~dtexplain.explain._scan` if already made."""
+    universe, target, tag, leaf = _candidates(tree, source, mode)
+    if scan is None:
+        scan = _scan(tree, leaf, universe, target)
+    core = [i for i, lit in enumerate(universe) if scan.core >> lit.feature & 1]
+    family, entered = _contrary_family(tree, universe, target, sum(1 << i for i in core))
     return [
-        Explanation(frozenset(universe[i] for i in s), target, mode, tag)
+        Explanation(frozenset(universe[i] for i in core + s), target, mode, tag)
         for s in _hitting_sets(family, limit)
     ], entered
 

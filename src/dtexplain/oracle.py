@@ -10,9 +10,9 @@ budget instead of degrading.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .explain import Explanation
@@ -130,7 +130,8 @@ class BruteForceOracle:
         self, universe: Sequence[Literal], class_id: int
     ) -> list[Explanation]:
         """All subset-minimal entailing subsets of the universe, by an
-        ascending-cardinality sweep with superset pruning."""
+        ascending-cardinality sweep that skips every superset of an
+        entailing subset, on int masks of universe indices."""
         universe = _check_in_space(self.tree._full, universe)
         if len(universe) > self.budget.max_universe:
             raise BudgetExceededError(
@@ -142,20 +143,25 @@ class BruteForceOracle:
             raise ValueError("universe must hold one literal per feature")
         selections = [self._selection(lit) for lit in universe]
         contrary = self._contrary(class_id)
-        minimal: list[frozenset[int]] = []
+        bits = [1 << i for i in range(len(universe))]
+        minimal: list[int] = []  # sums of bits
         for size in range(len(universe) + 1):
-            for combo in itertools.combinations(range(len(universe)), size):
-                chosen = frozenset(combo)
-                if any(m <= chosen for m in minimal):
-                    continue
-                consistent = self._all_points
-                for i in combo:
-                    consistent &= selections[i]
-                if not consistent & contrary:
-                    minimal.append(chosen)
+            # both list the same index subsets in the same order
+            pairs = zip(combinations(bits, size), combinations(selections, size))
+            for combo, chosen in pairs:
+                mask = sum(combo)
+                for m in minimal:  # skip supersets; faster than any()
+                    if m & mask == m:
+                        break
+                else:
+                    consistent = self._all_points
+                    for selection in chosen:
+                        consistent &= selection
+                    if not consistent & contrary:
+                        minimal.append(mask)
         return [
             Explanation(
-                literals=frozenset(universe[i] for i in m),
+                literals=frozenset(u for i, u in enumerate(universe) if m >> i & 1),
                 target=class_id,
                 mode=None,
                 source=None,

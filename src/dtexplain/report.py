@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .explain import (
-    Explanation,
-    RedundancyResult,
-    is_path_redundant,
-    one_pi_explanation_path,
-)
+from .explain import Explanation, RedundancyResult, _extract_path, _scan
 from .model import DecisionTree, TreeFormatError, parse_tree_file, path_point_count
 
 __all__ = [
@@ -119,8 +114,9 @@ def tree_report(tree: DecisionTree, label: str = "tree") -> TreeReport:
     literal_pcts = []
     covered = 0
     for path in tree.paths:
-        verdict = is_path_redundant(tree, path)
-        explanation = one_pi_explanation_path(tree, path)
+        scan = _scan(tree, path.leaf, path.literals, path.prediction)
+        verdict = scan.verdict
+        explanation = _extract_path(tree, path, scan)[0]
         points = path_point_count(space, path.literals)
         pct = None
         if verdict.redundant:

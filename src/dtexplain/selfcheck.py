@@ -19,10 +19,10 @@ from .explain import (
     PATH_UNRESTRICTED,
     Explanation,
     RedundancyResult,
+    _extract_instance,
     _extract_path,
+    _scan,
     entails,
-    is_path_redundant,
-    one_pi_explanation_instance,
 )
 from .hitting import _enumerate
 from .model import DecisionTree, Instance, Literal, TreePath, _point_literals, classify
@@ -154,13 +154,17 @@ def check_tree(
     fast_entails = partial(entails, tree)
     stats = CheckStats(trees=1)
 
-    def check_source(source, mode, universe, target, extracted, where):
+    def check_source(source, mode, universe, target, scan, extracted, where):
         """Check a source's extraction and enumeration against each other
-        and the oracle; returns the oracle's PI-explanation sets."""
+        and the oracle, and that every PI-explanation holds the scan's
+        core; returns the oracle's PI-explanation sets."""
         check_extraction(oracle, universe, target, extracted, where)
-        fast, entered = _enumerate(tree, source, mode, None)
+        fast, entered = _enumerate(tree, source, mode, None, scan)
         _bounded(entered, tree.node_count, "family search entered", where)
         truth = check_enumeration(oracle, universe, target, fast, None, where)
+        necessary = {lit for lit in universe if scan.core >> lit.feature & 1}
+        missing = [t for t in truth if not necessary <= t]
+        _require(not missing, where, "a PI-explanation lacks a necessary literal")
         _require(
             extracted.literals in truth,
             where,
@@ -172,10 +176,11 @@ def check_tree(
     restricted_by_leaf: dict[int, set[frozenset[Literal]]] = {}
     for path in tree.paths:
         where = f"{label}/{path.path_id}"
-        verdict = is_path_redundant(tree, path)
+        scan = _scan(tree, path.leaf, path.literals, path.prediction)
+        verdict = scan.verdict
         slack = check_redundancy(oracle, path, verdict, where)
         stats.max_visit_slack = max(stats.max_visit_slack, slack)
-        extracted, entered = _extract_path(tree, path)
+        extracted, entered = _extract_path(tree, path, scan)
         bound = len(path.literals) * tree.node_count
         _bounded(entered, bound, "path extraction entered", where)
         _require(
@@ -184,7 +189,8 @@ def check_tree(
             "redundancy verdict does not match extraction shrinkage",
         )
         restricted_by_leaf[path.leaf] = check_source(
-            path, PATH_RESTRICTED, path.literals, path.prediction, extracted, where
+            path, PATH_RESTRICTED, path.literals, path.prediction, scan, extracted,
+            where,
         )
         stats.paths += 1
 
@@ -201,9 +207,11 @@ def check_tree(
                 where,
                 f"entailment of {len(subset)} literals disagrees with the oracle",
             )
-        extracted = one_pi_explanation_instance(tree, point)
+        scan = _scan(tree, path.leaf, equality, target)
+        _bounded(scan.visits, tree.node_count + path.depth, "scan examined", where)
+        extracted = _extract_instance(tree, point, target, scan)
         truth = check_source(
-            point, PATH_UNRESTRICTED, equality, target, extracted, where
+            point, PATH_UNRESTRICTED, equality, target, scan, extracted, where
         )
         if all(lit.mask.bit_count() == 1 for lit in path.literals):
             # containment of restricted in unrestricted explanations is a

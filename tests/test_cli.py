@@ -420,6 +420,17 @@ def _flip_verdict(real):
     return lie
 
 
+def _flip_scanned_verdict(real):
+    def lie(*args, **kwargs):
+        scan = real(*args, **kwargs)
+        honest = scan.verdict
+        flipped = RedundancyResult(
+            not honest.redundant, honest.witness, honest.node_visits
+        )
+        return scan._replace(verdict=flipped)
+    return lie
+
+
 def _other_class(real):
     def lie(tree, point):
         class_id, path = real(tree, point)
@@ -453,7 +464,7 @@ def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
              "--limit", "1"),
         ),
         (
-            "dtexplain.report.is_path_redundant", _flip_verdict,
+            "dtexplain.report._scan", _flip_scanned_verdict,
             ("stats", "-t", fixture_path("or_tree")),
         ),
         (
@@ -491,12 +502,12 @@ def _x1_is_1(real):
 
 
 def _drop_one_more(real):
-    def lie(tree, path):
-        honest = real(tree, path)
+    def lie(tree, path, scan=None):
+        honest, entered = real(tree, path, scan)
         if len(honest.literals) == len(path.literals):
-            return honest
+            return honest, entered
         rest = frozenset(honest.sorted_literals()[1:])  # no longer entails
-        return Explanation(rest, honest.target, honest.mode, honest.source)
+        return Explanation(rest, honest.target, honest.mode, honest.source), entered
     return lie
 
 
@@ -516,7 +527,7 @@ def _drop_one_more(real):
             ("explain", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
         ),
         (
-            "dtexplain.report.one_pi_explanation_path", _drop_one_more,
+            "dtexplain.report._extract_path", _drop_one_more,
             ("stats", "-t", fixture_path("articles")),
         ),
         (  # the instance resolves to P2, whose explanation is {x1=1}

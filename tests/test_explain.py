@@ -33,7 +33,7 @@ from dtexplain import (
     random_tree,
 )
 from dtexplain.cli import run
-from dtexplain.explain import _contrary_leaf, _extract_path, _greedy
+from dtexplain.explain import _contrary_leaf, _extract_path, _greedy, _scan
 
 
 def lits(tree, *pairs):
@@ -287,7 +287,8 @@ def assert_path_start_matches_root_start(tree):
         literals = instance_literals(tree.space, point)
         order = range(len(literals) - 1, -1, -1)
         want, most = root_start_greedy(tree, literals, order, target)
-        found, entered = _greedy(tree, literals, order, target, path.leaf)
+        scan = _scan(tree, path.leaf, literals, target)
+        found, entered = _greedy(tree, literals, order, target, scan)
         assert found == want == one_pi_explanation_instance(tree, point).literals
         assert entered <= most
 
@@ -339,9 +340,10 @@ def assert_pruning_matches_unpruned(tree):
     same features and enters no more nodes."""
     for path in tree.paths:
         order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
-        args = (path.literals, order, path.prediction, path.leaf)
-        want, most = unpruned_greedy(tree, *args)
-        found, entered = _greedy(tree, *args)
+        args = (path.literals, order, path.prediction)
+        want, most = unpruned_greedy(tree, *args, path.leaf)
+        scan = _scan(tree, path.leaf, path.literals, path.prediction)
+        found, entered = _greedy(tree, *args, scan)
         assert found == want
         assert entered <= most
     rng = random.Random(31)
@@ -349,9 +351,9 @@ def assert_pruning_matches_unpruned(tree):
         point = random_instance(tree.space, rng)
         target, path = classify(tree, point)
         literals = instance_literals(tree.space, point)
-        args = (literals, range(len(literals) - 1, -1, -1), target, path.leaf)
-        want, most = unpruned_greedy(tree, *args)
-        found, entered = _greedy(tree, *args)
+        args = (literals, range(len(literals) - 1, -1, -1), target)
+        want, most = unpruned_greedy(tree, *args, path.leaf)
+        found, entered = _greedy(tree, *args, _scan(tree, path.leaf, literals, target))
         assert found == want
         assert entered <= most
 
@@ -373,7 +375,7 @@ def test_pruned_lookups_match_unpruned_on_random_trees():
 @pytest.mark.parametrize("d", [50, 100, 200])
 def test_or_chain_extraction_enters_quadratically_many_nodes(d):
     """Over all d + 1 paths of ``or_chain(d)`` path extraction enters at
-    most 2 d^2 nodes (d^2 + 3d today); lookups that searched every subtree
+    most 2 d^2 nodes (d^2 + d today); lookups that searched every subtree
     still open entered a cubic number."""
     tree = or_chain_tree(d)
     entered = sum(_extract_path(tree, path)[1] for path in tree.paths)

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_NAMES, literal_names, load_tree, oversized_trees
+from conftest import (
+    FIXTURE_NAMES,
+    literal_names,
+    load_tree,
+    or_chain_tree,
+    oversized_trees,
+)
 
 import dtexplain
 from dtexplain import (
@@ -25,11 +31,13 @@ from dtexplain import (
     enumerate_mhs,
     enumerate_pi_explanations,
     entails,
+    instance_literals,
     is_path_redundant,
     one_pi_explanation_path,
     parse_tree,
     random_tree,
 )
+from dtexplain.explain import _scan
 from dtexplain.hitting import _candidates, _contrary_family
 
 
@@ -379,7 +387,7 @@ def index_mask(members):
 def assert_family_matches_build(tree, source, mode):
     """The search's family is the distinct inclusion-minimal members of
     the per-contrary-path build, and it enters each node at most once."""
-    universe, target, _ = _candidates(tree, source, mode)
+    universe, target, _, _ = _candidates(tree, source, mode)
     family, entered = _contrary_family(tree, universe, target)
     built = build_hitting_sets(tree, source, mode)
     assert built.universe == universe
@@ -408,3 +416,28 @@ def test_family_search_matches_the_per_path_build(tree):
     points += [tuple(rng.randrange(len(f.domain)) for f in tree.space) for _ in range(64)]
     for point in points:
         assert_family_matches_build(tree, point, PATH_UNRESTRICTED)
+
+
+def test_deep_chain_core_leaves_the_family_search_no_member():
+    """On the class-0 path of x1 or ... or x2000 every literal is necessary:
+    freeing any x_k=0 opens the class-1 leaf below its test.  Both
+    enumerations return that one set, and the family search, told the
+    core, keeps none of the 2000 singleton members it would list
+    without it."""
+    depth = 2000
+    tree = or_chain_tree(depth)
+    q1 = tree.path("Q1")
+    assert q1.depth == depth
+    everything = frozenset(q1.literals)
+    restricted = enumerate_pi_explanations(tree, q1, PATH_RESTRICTED)
+    assert [e.literals for e in restricted] == [everything]
+    point = (0,) * depth
+    unrestricted = enumerate_pi_explanations(tree, point, PATH_UNRESTRICTED)
+    assert [e.literals for e in unrestricted] == [
+        frozenset(instance_literals(tree.space, point))
+    ]
+    scan = _scan(tree, q1.leaf, q1.literals, q1.prediction)
+    core = sum(1 << i for i, lit in enumerate(q1.literals) if scan.core >> lit.feature & 1)
+    assert core == (1 << depth) - 1
+    family, _ = _contrary_family(tree, q1.literals, q1.prediction, core)
+    assert family == {}
