@@ -26,8 +26,9 @@ from .explain import (
     is_path_redundant,
     one_pi_explanation_instance,
     one_pi_explanation_path,
+    _source,
 )
-from .hitting import HittingSetError, _candidates, enumerate_pi_explanations
+from .hitting import HittingSetError, enumerate_pi_explanations
 from .model import (
     DecisionTree,
     InconsistentLiteralsError,
@@ -176,15 +177,6 @@ def _sources(
     return [(PATH_UNRESTRICTED, p, p) for p in points], single
 
 
-def _verified_candidates(oracle, tree: DecisionTree, mode: str, source, point):
-    """The source's candidate literals and target, after checking the path
-    that an instance resolved to under --mode restricted."""
-    if mode == PATH_RESTRICTED and point is not None:
-        check_classification(oracle, point, source.prediction, source)
-    universe, target, _, _ = _candidates(tree, source, mode)
-    return universe, target
-
-
 def _print(args, single: bool, results: list, entry, lines) -> int:
     """Write one JSON ``entry`` per result, unwrapped for a single source,
     or every result's text ``lines``."""
@@ -258,8 +250,10 @@ def _cmd_explain(args) -> int:
         else:
             explanation = one_pi_explanation_instance(tree, source)
         if oracle is not None:
-            candidates = _verified_candidates(oracle, tree, mode, source, point)
-            check_extraction(oracle, *candidates, explanation)
+            src = _source(tree, source, mode)
+            if point is not None:
+                check_classification(oracle, point, src.target, src.path)
+            check_extraction(oracle, src.literals, src.target, explanation)
         results.append(explanation)
     return _print(
         args, single, results,
@@ -277,8 +271,12 @@ def _cmd_enumerate(args) -> int:
     for mode, source, point in sources:
         explanations = enumerate_pi_explanations(tree, source, mode, args.limit)
         if oracle is not None:
-            candidates = _verified_candidates(oracle, tree, mode, source, point)
-            check_enumeration(oracle, *candidates, explanations, args.limit)
+            src = _source(tree, source, mode)
+            if point is not None:
+                check_classification(oracle, point, src.target, src.path)
+            check_enumeration(
+                oracle, src.literals, src.target, explanations, args.limit
+            )
         blocks.append(explanations)
     return _print(
         args, single, blocks,
@@ -321,6 +319,8 @@ def _cmd_stats(args) -> int:
 def _cmd_selftest(args) -> int:
     if args.trees < 1:
         raise UsageError("--trees must be at least 1")
+    if args.instances < 0:
+        raise UsageError("--instances must be non-negative")
     rng = random.Random(args.seed)
     total = CheckStats()
     for index in range(args.trees):

@@ -14,8 +14,11 @@ a point can reach whose features take values in one int mask per feature
 masks in place and restores them before it returns, and being iterative
 it is not limited by the interpreter's recursion depth.
 
-One node-local scan per source (a path's literals, or an instance's
-equality literals), :func:`_scan`, decides which features can be dropped
+Each question starts from a source: a path's literals, or an
+instance's equality literals, with the class they must entail.
+:func:`_source` resolves it once, into the record that the scan,
+extraction, enumeration, report and checkers all read.  One node-local
+scan per source, :func:`_scan`, decides which features can be dropped
 alone, examining each tree node at most once.  The features it cannot
 drop form the *core*, which every PI-explanation drawn from the source
 contains; the first one it can drop is the redundancy witness.
@@ -174,26 +177,53 @@ def entails(tree: DecisionTree, literals: Iterable[Literal], class_id: int) -> b
     return not _contrary_leaf(tree, 0, class_id, _allowed(tree, literals))[0]
 
 
+class HittingSetError(ValueError):
+    """The tree and the explanation source are inconsistent."""
+
+
+class _Source(NamedTuple):
+    """An explanation source resolved against its tree; see :func:`_source`."""
+
+    literals: tuple[Literal, ...]  # the candidates an explanation is drawn from
+    target: int  # the class they entail
+    path: TreePath  # the path itself, or the one the instance takes
+    mode: str
+    tag: str | tuple  # the explanations' ``source``: path id or instance
+
+    def explanation(self, literals: Iterable[Literal]) -> Explanation:
+        return Explanation(frozenset(literals), self.target, self.mode, self.tag)
+
+
+def _source(tree: DecisionTree, source: TreePath | Instance, mode: str) -> _Source:
+    """Resolve a path (path-restricted) or an instance (path-unrestricted),
+    classifying an instance once.  Raises :class:`HittingSetError` when
+    the source does not suit the mode."""
+    if mode == PATH_RESTRICTED:
+        if not isinstance(source, TreePath):
+            raise HittingSetError("path-restricted mode needs a tree path source")
+        tree.check_owns(source)
+        return _Source(source.literals, source.prediction, source, mode, source.path_id)
+    if mode == PATH_UNRESTRICTED:
+        if isinstance(source, TreePath):
+            raise HittingSetError("path-unrestricted mode needs an instance source")
+        target, path = classify(tree, source)
+        return _Source(_point_literals(source), target, path, mode, tuple(source))
+    raise HittingSetError(f"unknown mode {mode!r}")
+
+
 class _Scan(NamedTuple):
     """What one walk up a source's path finds; see :func:`_scan`."""
 
     core: int  # bit f for each feature the source cannot drop alone
     top: dict[int, int]  # tested feature -> its shallowest test, deepest first
-    leaf: int
     masks: list[int]  # the literals' value masks by feature; copy to narrow
     verdict: RedundancyResult
     visits: int  # nodes examined by the whole walk
 
 
-def _scan(
-    tree: DecisionTree,
-    leaf: int,
-    literals: Iterable[Literal],
-    target: int,
-    stop: bool = False,
-) -> _Scan:
-    """Decide, for each feature tested on the path to ``leaf``, whether
-    ``literals`` without it still entail ``target``.
+def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
+    """Decide, for each feature tested on the source's path, whether its
+    literals without it still entail its target.
 
     The path is walked deepest first.  At a node testing feature ``f``,
     one lookup from the node searches the untaken edges' subtrees, with
@@ -203,12 +233,12 @@ def _scan(
     witness, where ``stop`` ends the walk.
     """
     parent, feature_of, children = tree._parent, tree._feature, tree._children
-    above_of, full = tree._above, tree._full
-    allowed = _allowed(tree, literals)
+    above_of, full, target = tree._above, tree._full, src.target
+    allowed = _allowed(tree, src.literals)
     top: dict[int, int] = {}
     core = visits = 0
     verdict = None
-    child = leaf
+    child = src.path.leaf
     while (node := parent[child]) >= 0:
         f = feature_of[node]
         top[f] = node
@@ -231,28 +261,23 @@ def _scan(
                     break
         child = node
     verdict = verdict or RedundancyResult(False, None, visits)
-    return _Scan(core, top, leaf, allowed, verdict, visits)
+    return _Scan(core, top, allowed, verdict, visits)
 
 
 def is_path_redundant(tree: DecisionTree, path: TreePath) -> RedundancyResult:
     """Decide whether a path's literal set strictly contains a
     PI-explanation, in time linear in the tree size; the witness is the
     first feature, deepest first, that it can drop alone."""
-    tree.check_owns(path)
-    return _scan(tree, path.leaf, path.literals, path.prediction, stop=True).verdict
+    return _scan(tree, _source(tree, path, PATH_RESTRICTED), stop=True).verdict
 
 
 def _greedy(
-    tree: DecisionTree,
-    literals: tuple[Literal, ...],
-    order: Iterable[int],
-    target: int,
-    scan: _Scan,
+    tree: DecisionTree, src: _Source, order: Iterable[int], scan: _Scan
 ) -> tuple[frozenset[Literal], int]:
     """Drop each feature of ``order`` outside the scan's core in turn from
-    ``literals`` when a lookup with it freed finds no contrary leaf; the
-    literals that stay form a PI-explanation.  Also returns the number of
-    nodes the lookups entered.
+    the source's literals when a lookup with it freed finds no contrary
+    leaf; the literals that stay form a PI-explanation.  Also returns the
+    number of nodes the lookups entered.
 
     The first drop needs no lookup: the scan found it sound.  A lookup
     starts at the shallower of the tried feature's shallowest test and the
@@ -261,7 +286,7 @@ def _greedy(
     kept values, and none is made when that feature is not tested at or
     below the start.
     """
-    core, top, leaf = scan.core, scan.top, scan.leaf
+    core, top, leaf, target = scan.core, scan.top, src.path.leaf, src.target
     full, below = tree._full, tree._below
     allowed = scan.masks[:]
     dropped = set()
@@ -283,21 +308,17 @@ def _greedy(
                 continue
         dropped.add(feature)
         last = start
-    return frozenset(lit for lit in literals if lit.feature not in dropped), entered
+    kept = frozenset(lit for lit in src.literals if lit.feature not in dropped)
+    return kept, entered
 
 
-def _extract(
-    tree: DecisionTree,
-    literals: tuple[Literal, ...],
-    order: Iterable[int],
-    target: int,
-    scan: _Scan,
-) -> tuple[frozenset[Literal], int]:
-    """One PI-explanation drawn from ``literals``, and the number of nodes
-    its lookups entered: the core if it alone entails ``target``, which one
-    lookup from the shallowest test outside the core decides, else
-    :func:`_greedy`'s."""
-    core, start = scan.core, scan.leaf
+def _extract(tree: DecisionTree, src: _Source, scan: _Scan) -> tuple[Explanation, int]:
+    """One PI-explanation drawn from the source, and the number of nodes
+    its lookups entered: the core if it alone entails the target, which
+    one lookup from the shallowest test outside the core decides, else
+    :func:`_greedy`'s, trying a path's features deepest first (by their
+    deepest test) and an instance's in descending feature index."""
+    core, start = scan.core, src.path.leaf
     entered = 0
     if core:
         allowed = tree._full[:]
@@ -306,26 +327,16 @@ def _extract(
                 allowed[f] = scan.masks[f]
             elif node < start:
                 start = node
-        found, entered = _contrary_leaf(tree, start, target, allowed)
+        found, entered = _contrary_leaf(tree, start, src.target, allowed)
         if not found:
-            kept = frozenset(lit for lit in literals if core >> lit.feature & 1)
-            return kept, entered
-    kept, examined = _greedy(tree, literals, order, target, scan)
-    return kept, entered + examined
-
-
-def _extract_path(
-    tree: DecisionTree, path: TreePath, scan: _Scan | None = None
-) -> tuple[Explanation, int]:
-    """:func:`one_pi_explanation_path` and the number of tree nodes its
-    lookups entered; ``scan`` is the path's :func:`_scan` if already
-    made."""
-    tree.check_owns(path)
-    if scan is None:
-        scan = _scan(tree, path.leaf, path.literals, path.prediction)
-    literals, entered = _extract(tree, path.literals, scan.top, path.prediction, scan)
-    found = Explanation(literals, path.prediction, PATH_RESTRICTED, path.path_id)
-    return found, entered
+            kept = (lit for lit in src.literals if core >> lit.feature & 1)
+            return src.explanation(kept), entered
+    if src.mode == PATH_RESTRICTED:
+        order = scan.top
+    else:
+        order = range(len(src.literals) - 1, -1, -1)
+    kept, examined = _greedy(tree, src, order, scan)
+    return src.explanation(kept), entered + examined
 
 
 def one_pi_explanation_path(tree: DecisionTree, path: TreePath) -> Explanation:
@@ -335,7 +346,8 @@ def one_pi_explanation_path(tree: DecisionTree, path: TreePath) -> Explanation:
     the path's literal set minus the dropped features, and it is
     subset-minimal.
     """
-    return _extract_path(tree, path)[0]
+    src = _source(tree, path, PATH_RESTRICTED)
+    return _extract(tree, src, _scan(tree, src))[0]
 
 
 def one_pi_explanation_instance(tree: DecisionTree, instance: Instance) -> Explanation:
@@ -345,21 +357,5 @@ def one_pi_explanation_instance(tree: DecisionTree, instance: Instance) -> Expla
     deterministic representative among the (possibly several) valid
     PI-explanations.
     """
-    target, path = classify(tree, instance)
-    scan = _scan(tree, path.leaf, _point_literals(instance), target)
-    return _extract_instance(tree, instance, target, scan)
-
-
-def _extract_instance(
-    tree: DecisionTree, instance: Instance, target: int, scan: _Scan
-) -> Explanation:
-    """:func:`one_pi_explanation_instance` of an instance of class
-    ``target`` whose scan is made."""
-    literals = _point_literals(instance)
-    order = range(len(literals) - 1, -1, -1)
-    return Explanation(
-        literals=_extract(tree, literals, order, target, scan)[0],
-        target=target,
-        mode=PATH_UNRESTRICTED,
-        source=tuple(instance),
-    )
+    src = _source(tree, instance, PATH_UNRESTRICTED)
+    return _extract(tree, src, _scan(tree, src))[0]

@@ -31,15 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import (
-    DecisionTree,
-    Instance,
-    Literal,
-    TreePath,
-    _point_literals,
-    classify,
+from .explain import (
+    Explanation,
+    HittingSetError,
+    _Scan,
+    _scan,
+    _Source,
+    _source,
 )
-from .explain import Explanation, PATH_RESTRICTED, PATH_UNRESTRICTED, _Scan, _scan
+from .model import DecisionTree, Instance, Literal, TreePath
 
 __all__ = [
     "HittingSetError",
@@ -48,10 +48,6 @@ __all__ = [
     "enumerate_mhs",
     "enumerate_pi_explanations",
 ]
-
-
-class HittingSetError(ValueError):
-    """The tree and the explanation source are inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -78,25 +74,6 @@ class HittingSetInstance:
         ]
 
 
-def _candidates(
-    tree: DecisionTree, source: TreePath | Instance, mode: str
-) -> tuple[tuple[Literal, ...], int, str | tuple, int]:
-    """The candidate universe, the predicted class, the explanation tag
-    and the leaf of a path (path-restricted) or an instance
-    (path-unrestricted)."""
-    if mode == PATH_RESTRICTED:
-        if not isinstance(source, TreePath):
-            raise HittingSetError("path-restricted mode needs a tree path source")
-        tree.check_owns(source)
-        return source.literals, source.prediction, source.path_id, source.leaf
-    if mode == PATH_UNRESTRICTED:
-        if isinstance(source, TreePath):
-            raise HittingSetError("path-unrestricted mode needs an instance source")
-        target, path = classify(tree, source)
-        return _point_literals(source), target, tuple(source), path.leaf
-    raise HittingSetError(f"unknown mode {mode!r}")
-
-
 def _no_conflict(path_id: str) -> HittingSetError:
     return HittingSetError(
         f"tree/source inconsistency: contrary path {path_id!r} "
@@ -116,10 +93,11 @@ def build_hitting_sets(
     instance.  Every contrary path must be inconsistent with at least one
     candidate; an empty family member signals a malformed tree/source pair.
     """
-    universe, target, _, _ = _candidates(tree, source, mode)
+    src = _source(tree, source, mode)
+    universe = src.literals
     position = {lit.feature: (i, lit.mask) for i, lit in enumerate(universe)}
     sets = []
-    for contrary in (p for p in tree.paths if p.prediction != target):
+    for contrary in (p for p in tree.paths if p.prediction != src.target):
         members = []
         for lit in contrary.literals:
             candidate = position.get(lit.feature)
@@ -133,10 +111,9 @@ def build_hitting_sets(
 
 def _contrary_family(
     tree: DecisionTree, universe: tuple[Literal, ...], target: int, core: int = 0
-) -> tuple[dict[int, str], int]:
+) -> tuple[list[int], int]:
     """The distinct inclusion-minimal conflict sets of the contrary leaves,
-    as int bitmasks over ``universe`` mapped to the leaves' path ids, and
-    the number of nodes entered.
+    as int bitmasks over ``universe``, and the number of nodes entered.
 
     A depth-first search from the root, edges in declaration order,
     carries the mask of candidates that the edges on the way down leave
@@ -157,7 +134,7 @@ def _contrary_family(
         running[lit.feature] = lit.mask
     feature_of, leaf_class, children = tree._feature, tree._class, tree._children
     classes, other = tree._classes, ~(1 << target)
-    family: dict[int, str] = {}
+    family: list[int] = []
     entered = 0
     # (node, mask, feature, values): enter node with running[feature] =
     # values (feature -1: nothing narrowed); node -1 restores
@@ -180,11 +157,10 @@ def _contrary_family(
         f = feature_of[node]
         if f < 0:
             if leaf_class[node] != target:
-                path_id = tree._leaf_path[node].path_id
                 if not mask:
-                    raise _no_conflict(path_id)
-                family = {m: pid for m, pid in family.items() if m & mask != mask}
-                family[mask] = path_id
+                    raise _no_conflict(tree._leaf_path[node].path_id)
+                family = [m for m in family if m & mask != mask]
+                family.append(mask)
             continue
         if feature >= 0:
             stack.append((-1, 0, feature, running[feature]))
@@ -273,24 +249,17 @@ def enumerate_mhs(
 
 
 def _enumerate(
-    tree: DecisionTree,
-    source: TreePath | Instance,
-    mode: str,
-    limit: int | None,
-    scan: _Scan | None = None,
+    tree: DecisionTree, src: _Source, scan: _Scan, limit: int | None
 ) -> tuple[list[Explanation], int]:
-    """:func:`enumerate_pi_explanations` and the number of tree nodes the
-    family search entered; ``scan`` is the source's
-    :func:`~dtexplain.explain._scan` if already made."""
-    universe, target, tag, leaf = _candidates(tree, source, mode)
-    if scan is None:
-        scan = _scan(tree, leaf, universe, target)
+    """:func:`enumerate_pi_explanations` of a resolved source whose scan is
+    made, and the number of tree nodes the family search entered."""
+    universe = src.literals
     core = [i for i, lit in enumerate(universe) if scan.core >> lit.feature & 1]
-    family, entered = _contrary_family(tree, universe, target, sum(1 << i for i in core))
-    return [
-        Explanation(frozenset(universe[i] for i in core + s), target, mode, tag)
-        for s in _hitting_sets(family, limit)
-    ], entered
+    family, entered = _contrary_family(
+        tree, universe, src.target, sum(1 << i for i in core)
+    )
+    found = _hitting_sets(family, limit)
+    return [src.explanation(universe[i] for i in core + s) for s in found], entered
 
 
 def enumerate_pi_explanations(
@@ -307,4 +276,5 @@ def enumerate_pi_explanations(
     one pruned search of the tree finds without listing every contrary
     path.
     """
-    return _enumerate(tree, source, mode, limit)[0]
+    src = _source(tree, source, mode)
+    return _enumerate(tree, src, _scan(tree, src), limit)[0]

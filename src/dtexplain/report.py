@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .explain import Explanation, RedundancyResult, _extract_path, _scan
+from .explain import PATH_RESTRICTED, Explanation, RedundancyResult
+from .explain import _extract, _scan, _source
 from .model import DecisionTree, TreeFormatError, parse_tree_file, path_point_count
 
 __all__ = [
@@ -114,9 +115,10 @@ def tree_report(tree: DecisionTree, label: str = "tree") -> TreeReport:
     literal_pcts = []
     covered = 0
     for path in tree.paths:
-        scan = _scan(tree, path.leaf, path.literals, path.prediction)
+        src = _source(tree, path, PATH_RESTRICTED)
+        scan = _scan(tree, src)
         verdict = scan.verdict
-        explanation = _extract_path(tree, path, scan)[0]
+        explanation = _extract(tree, src, scan)[0]
         points = path_point_count(space, path.literals)
         pct = None
         if verdict.redundant:

@@ -19,13 +19,13 @@ from .explain import (
     PATH_UNRESTRICTED,
     Explanation,
     RedundancyResult,
-    _extract_instance,
-    _extract_path,
+    _extract,
     _scan,
+    _source,
     entails,
 )
 from .hitting import _enumerate
-from .model import DecisionTree, Instance, Literal, TreePath, _point_literals, classify
+from .model import DecisionTree, Instance, Literal, TreePath
 from .oracle import BruteForceOracle
 from .randtree import random_instance
 
@@ -133,11 +133,12 @@ def check_enumeration(
 ) -> set[frozenset[Literal]]:
     """The oracle's PI-explanation sets of class ``target`` drawn from
     ``universe``, after checking that ``explanations`` are all of them, or
-    ``limit`` of them (all, if there are fewer)."""
+    ``limit`` of them (all, if there are fewer), each listed once."""
     truth = {e.literals for e in oracle.enumerate_pi(universe, target)}
     found = {e.literals for e in explanations}
     want = len(truth) if limit is None else min(limit, len(truth))
     _require(found <= truth, label, "enumeration emitted a non-PI set")
+    _require(len(found) == len(explanations), label, "enumeration repeated a set")
     _require(
         len(found) == want, label, f"enumeration found {len(found)} sets, oracle {want}"
     )
@@ -154,12 +155,19 @@ def check_tree(
     fast_entails = partial(entails, tree)
     stats = CheckStats(trees=1)
 
-    def check_source(source, mode, universe, target, scan, extracted, where):
-        """Check a source's extraction and enumeration against each other
-        and the oracle, and that every PI-explanation holds the scan's
-        core; returns the oracle's PI-explanation sets."""
+    def check_source(src, where):
+        """Check a source's scan, extraction and enumeration against each
+        other and the oracle, with their work bounds, and that every
+        PI-explanation holds the scan's core; returns the scan's verdict,
+        the extracted explanation and the oracle's PI-explanation sets."""
+        universe, target = src.literals, src.target
+        scan = _scan(tree, src)
+        _bounded(scan.visits, tree.node_count + src.path.depth, "scan examined", where)
+        extracted, entered = _extract(tree, src, scan)
+        bound = len(universe) * tree.node_count
+        _bounded(entered, bound, "extraction entered", where)
         check_extraction(oracle, universe, target, extracted, where)
-        fast, entered = _enumerate(tree, source, mode, None, scan)
+        fast, entered = _enumerate(tree, src, scan, None)
         _bounded(entered, tree.node_count, "family search entered", where)
         truth = check_enumeration(oracle, universe, target, fast, None, where)
         necessary = {lit for lit in universe if scan.core >> lit.feature & 1}
@@ -171,48 +179,36 @@ def check_tree(
             "extracted explanation is not a PI-explanation",
         )
         _check_minimal(fast_entails, extracted.literals, target, where)
-        return truth
+        return scan.verdict, extracted, truth
 
     restricted_by_leaf: dict[int, set[frozenset[Literal]]] = {}
     for path in tree.paths:
         where = f"{label}/{path.path_id}"
-        scan = _scan(tree, path.leaf, path.literals, path.prediction)
-        verdict = scan.verdict
+        src = _source(tree, path, PATH_RESTRICTED)
+        verdict, extracted, restricted_by_leaf[path.leaf] = check_source(src, where)
         slack = check_redundancy(oracle, path, verdict, where)
         stats.max_visit_slack = max(stats.max_visit_slack, slack)
-        extracted, entered = _extract_path(tree, path, scan)
-        bound = len(path.literals) * tree.node_count
-        _bounded(entered, bound, "path extraction entered", where)
         _require(
             verdict.redundant == (len(extracted.literals) < len(path.literals)),
             where,
             "redundancy verdict does not match extraction shrinkage",
-        )
-        restricted_by_leaf[path.leaf] = check_source(
-            path, PATH_RESTRICTED, path.literals, path.prediction, scan, extracted,
-            where,
         )
         stats.paths += 1
 
     for k in range(n_instances):
         point = random_instance(tree.space, rng)
         where = f"{label}/instance#{k}:{point}"
-        target, path = classify(tree, point)
+        src = _source(tree, point, PATH_UNRESTRICTED)
+        target, path = src.target, src.path
         check_classification(oracle, point, target, path, where)
-        equality = _point_literals(point)
-        for skip in range(-1, len(equality)):  # -1 keeps the full set
-            subset = [lit for i, lit in enumerate(equality) if i != skip]
+        for skip in range(-1, len(src.literals)):  # -1 keeps the full set
+            subset = [lit for i, lit in enumerate(src.literals) if i != skip]
             _require(
                 entails(tree, subset, target) == oracle.entails(subset, target),
                 where,
                 f"entailment of {len(subset)} literals disagrees with the oracle",
             )
-        scan = _scan(tree, path.leaf, equality, target)
-        _bounded(scan.visits, tree.node_count + path.depth, "scan examined", where)
-        extracted = _extract_instance(tree, point, target, scan)
-        truth = check_source(
-            point, PATH_UNRESTRICTED, equality, target, scan, extracted, where
-        )
+        truth = check_source(src, where)[2]
         if all(lit.mask.bit_count() == 1 for lit in path.literals):
             # containment of restricted in unrestricted explanations is a
             # literal-level statement, so it applies only when the path's

@@ -347,6 +347,13 @@ def test_unknown_path_id_is_data_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("count", [("--trees", "0"), ("--instances", "-1")])
+def test_selftest_rejects_bad_counts(capsys, count):
+    code, out, err = invoke(capsys, "selftest", *count)
+    assert code == 1 and out == ""
+    assert err.startswith(f"dtexplain: usage error: {count[0]} must be")
+
+
 def test_conflicting_instance_sources(capsys, tmp_path):
     rows = tmp_path / "rows.csv"
     rows.write_text("x1,x2\n0,0\n", encoding="utf-8")
@@ -401,6 +408,12 @@ def test_verify_stats_parses_each_file_once(capsys, monkeypatch):
 def _drop_last(real):
     def lie(tree, source, mode, limit=None):
         return real(tree, source, mode, limit)[:-1]
+    return lie
+
+
+def _twice(real):
+    def lie(tree, source, mode, limit=None):
+        return real(tree, source, mode, limit) * 2  # every set repeated
     return lie
 
 
@@ -459,6 +472,10 @@ def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
             ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]'),
         ),
         (
+            "dtexplain.cli.enumerate_pi_explanations", _twice,
+            ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]'),
+        ),
+        (
             "dtexplain.cli.enumerate_pi_explanations", _merge_first_two,
             ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]',
              "--limit", "1"),
@@ -472,7 +489,7 @@ def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
             ("classify", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
         ),
     ],
-    ids=["enumerate", "enumerate-limit", "stats", "classify"],
+    ids=["enumerate", "enumerate-twice", "enumerate-limit", "stats", "classify"],
 )
 def test_verify_detects_every_lying_command(capsys, monkeypatch, target, liar, argv):
     module, name = target.rsplit(".", 1)
@@ -502,9 +519,9 @@ def _x1_is_1(real):
 
 
 def _drop_one_more(real):
-    def lie(tree, path, scan=None):
-        honest, entered = real(tree, path, scan)
-        if len(honest.literals) == len(path.literals):
+    def lie(tree, src, scan):
+        honest, entered = real(tree, src, scan)
+        if len(honest.literals) == len(src.literals):
             return honest, entered
         rest = frozenset(honest.sorted_literals()[1:])  # no longer entails
         return Explanation(rest, honest.target, honest.mode, honest.source), entered
@@ -527,7 +544,7 @@ def _drop_one_more(real):
             ("explain", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
         ),
         (
-            "dtexplain.report._extract_path", _drop_one_more,
+            "dtexplain.report._extract", _drop_one_more,
             ("stats", "-t", fixture_path("articles")),
         ),
         (  # the instance resolves to P2, whose explanation is {x1=1}

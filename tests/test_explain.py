@@ -33,7 +33,15 @@ from dtexplain import (
     random_tree,
 )
 from dtexplain.cli import run
-from dtexplain.explain import _contrary_leaf, _extract_path, _greedy, _scan
+from dtexplain.explain import (
+    PATH_RESTRICTED,
+    PATH_UNRESTRICTED,
+    _contrary_leaf,
+    _extract,
+    _greedy,
+    _scan,
+    _source,
+)
 
 
 def lits(tree, *pairs):
@@ -271,13 +279,19 @@ def root_start_greedy(tree, literals, order, target):
     return frozenset(lit for lit in literals if lit.feature not in dropped), entered
 
 
+def extract_path(tree, path):
+    """A path's extracted explanation and the nodes its lookups entered."""
+    src = _source(tree, path, PATH_RESTRICTED)
+    return _extract(tree, src, _scan(tree, src))
+
+
 def assert_path_start_matches_root_start(tree):
     """Lookups started on the source's path drop exactly the features that
     root-started lookups drop, and enter no more nodes."""
     for path in tree.paths:
         order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
         want, most = root_start_greedy(tree, path.literals, order, path.prediction)
-        found, entered = _extract_path(tree, path)
+        found, entered = extract_path(tree, path)
         assert found.literals == want
         assert entered <= most
     rng = random.Random(30)
@@ -287,8 +301,8 @@ def assert_path_start_matches_root_start(tree):
         literals = instance_literals(tree.space, point)
         order = range(len(literals) - 1, -1, -1)
         want, most = root_start_greedy(tree, literals, order, target)
-        scan = _scan(tree, path.leaf, literals, target)
-        found, entered = _greedy(tree, literals, order, target, scan)
+        src = _source(tree, point, PATH_UNRESTRICTED)
+        found, entered = _greedy(tree, src, order, _scan(tree, src))
         assert found == want == one_pi_explanation_instance(tree, point).literals
         assert entered <= most
 
@@ -340,10 +354,11 @@ def assert_pruning_matches_unpruned(tree):
     same features and enters no more nodes."""
     for path in tree.paths:
         order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
-        args = (path.literals, order, path.prediction)
-        want, most = unpruned_greedy(tree, *args, path.leaf)
-        scan = _scan(tree, path.leaf, path.literals, path.prediction)
-        found, entered = _greedy(tree, *args, scan)
+        want, most = unpruned_greedy(
+            tree, path.literals, order, path.prediction, path.leaf
+        )
+        src = _source(tree, path, PATH_RESTRICTED)
+        found, entered = _greedy(tree, src, order, _scan(tree, src))
         assert found == want
         assert entered <= most
     rng = random.Random(31)
@@ -351,9 +366,10 @@ def assert_pruning_matches_unpruned(tree):
         point = random_instance(tree.space, rng)
         target, path = classify(tree, point)
         literals = instance_literals(tree.space, point)
-        args = (literals, range(len(literals) - 1, -1, -1), target)
-        want, most = unpruned_greedy(tree, *args, path.leaf)
-        found, entered = _greedy(tree, *args, _scan(tree, path.leaf, literals, target))
+        order = range(len(literals) - 1, -1, -1)
+        want, most = unpruned_greedy(tree, literals, order, target, path.leaf)
+        src = _source(tree, point, PATH_UNRESTRICTED)
+        found, entered = _greedy(tree, src, order, _scan(tree, src))
         assert found == want
         assert entered <= most
 
@@ -378,7 +394,7 @@ def test_or_chain_extraction_enters_quadratically_many_nodes(d):
     most 2 d^2 nodes (d^2 + d today); lookups that searched every subtree
     still open entered a cubic number."""
     tree = or_chain_tree(d)
-    entered = sum(_extract_path(tree, path)[1] for path in tree.paths)
+    entered = sum(extract_path(tree, path)[1] for path in tree.paths)
     assert entered <= 2 * d * d
 
 

@@ -37,8 +37,8 @@ from dtexplain import (
     parse_tree,
     random_tree,
 )
-from dtexplain.explain import _scan
-from dtexplain.hitting import _candidates, _contrary_family
+from dtexplain.explain import _scan, _source
+from dtexplain.hitting import _contrary_family
 
 
 # -- construction -------------------------------------------------------------
@@ -387,16 +387,12 @@ def index_mask(members):
 def assert_family_matches_build(tree, source, mode):
     """The search's family is the distinct inclusion-minimal members of
     the per-contrary-path build, and it enters each node at most once."""
-    universe, target, _, _ = _candidates(tree, source, mode)
-    family, entered = _contrary_family(tree, universe, target)
+    src = _source(tree, source, mode)
+    family, entered = _contrary_family(tree, src.literals, src.target)
     built = build_hitting_sets(tree, source, mode)
-    assert built.universe == universe
+    assert built.universe == src.literals
     assert set(family) == {index_mask(m) for m in minimal_members(built)}
     assert entered <= tree.node_count
-    # each member is tagged with a contrary path whose conflict set it is
-    assert {(pid, mask) for mask, pid in family.items()} <= {
-        (pid, index_mask(m)) for pid, m in built.sets
-    }
 
 
 @pytest.mark.parametrize(
@@ -436,8 +432,8 @@ def test_deep_chain_core_leaves_the_family_search_no_member():
     assert [e.literals for e in unrestricted] == [
         frozenset(instance_literals(tree.space, point))
     ]
-    scan = _scan(tree, q1.leaf, q1.literals, q1.prediction)
+    scan = _scan(tree, _source(tree, q1, PATH_RESTRICTED))
     core = sum(1 << i for i, lit in enumerate(q1.literals) if scan.core >> lit.feature & 1)
     assert core == (1 << depth) - 1
     family, _ = _contrary_family(tree, q1.literals, q1.prediction, core)
-    assert family == {}
+    assert family == []

@@ -708,6 +708,29 @@ def test_masks_are_built_only_in_the_model():
                 assert name != "_mask", f"{module.name} calls _mask"
 
 
+def test_points_become_literals_only_in_the_model_and_the_source():
+    """Outside model.py, ``_point_literals`` is called once, in
+    ``explain._source``, which resolves every explanation's source."""
+    package = pathlib.Path(dtexplain.__file__).parent
+
+    def calls(node):
+        return sum(
+            isinstance(n, ast.Call) and ast.unparse(n.func).endswith("_point_literals")
+            for n in ast.walk(node)
+        )
+
+    for module in sorted(package.glob("*.py")):
+        if module.name == "model.py":
+            continue
+        tree = ast.parse(module.read_text(), str(module))
+        source = [
+            f for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name == "_source"
+        ]
+        want = 1 if module.name == "explain.py" else 0
+        assert calls(tree) == want == sum(map(calls, source)), module.name
+
+
 def test_literals_store_only_their_mask():
     """A literal stores ``(feature, mask)``; only model.py reads the
     derived value set, and model.py sets no attribute behind a frozen

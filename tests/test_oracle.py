@@ -266,14 +266,14 @@ def test_entails_on_one_and_zero_feature_spaces():
 def test_check_tree_checks_each_classification(monkeypatch):
     """A classify that reports another leaf of the same class is caught by
     the classification checker, which walks the point with the oracle."""
-    real = dtexplain.selfcheck.classify
+    real = dtexplain.explain.classify
 
     def other_leaf(tree, point):
         _, path = real(tree, point)
         other = next(p for p in tree.paths if p is not path)
         return other.prediction, other
 
-    monkeypatch.setattr(dtexplain.selfcheck, "classify", other_leaf)
+    monkeypatch.setattr(dtexplain.explain, "classify", other_leaf)
     with pytest.raises(OracleMismatch, match="reaches leaf"):
         check_tree(load_tree("or_tree"), random.Random(0), n_instances=5)
 
@@ -292,6 +292,24 @@ def test_check_tree_checks_each_instance_at_most_three_times(monkeypatch):
     stats = check_tree(random_tree(3), random.Random(0), n_instances=10)
     assert stats.instances == 10
     assert len(checks) <= 3 * 10
+
+
+def test_check_tree_classifies_each_instance_once(monkeypatch):
+    """One source per instance: the extraction, the enumeration and the
+    checkers read the class and path it resolved."""
+    checks = []
+    check = dtexplain.model._check_point
+
+    def counted(space, point):
+        checks.append(point)
+        check(space, point)
+
+    monkeypatch.setattr(dtexplain.model, "_check_point", counted)
+    for seed in range(21):
+        del checks[:]
+        stats = check_tree(random_tree(seed), random.Random(seed), n_instances=4)
+        assert stats.instances == 4
+        assert len(checks) == 4
 
 
 def test_check_tree_walks_each_point_at_most_once(monkeypatch):
