@@ -24,11 +24,11 @@ from .explain import (
     PATH_UNRESTRICTED,
     Explanation,
     is_path_redundant,
-    one_pi_explanation_instance,
-    one_pi_explanation_path,
+    _extract,
+    _scan,
     _source,
 )
-from .hitting import HittingSetError, enumerate_pi_explanations
+from .hitting import HittingSetError, _enumerate
 from .model import (
     DecisionTree,
     InconsistentLiteralsError,
@@ -245,12 +245,9 @@ def _cmd_explain(args) -> int:
     oracle = BruteForceOracle(tree) if args.verify else None
     results = []
     for mode, source, point in sources:
-        if mode == PATH_RESTRICTED:
-            explanation = one_pi_explanation_path(tree, source)
-        else:
-            explanation = one_pi_explanation_instance(tree, source)
+        src = _source(tree, source, mode)
+        explanation = _extract(tree, src, _scan(tree, src))[0]
         if oracle is not None:
-            src = _source(tree, source, mode)
             if point is not None:
                 check_classification(oracle, point, src.target, src.path)
             check_extraction(oracle, src.literals, src.target, explanation)
@@ -269,9 +266,9 @@ def _cmd_enumerate(args) -> int:
     oracle = BruteForceOracle(tree) if args.verify else None
     blocks = []
     for mode, source, point in sources:
-        explanations = enumerate_pi_explanations(tree, source, mode, args.limit)
+        src = _source(tree, source, mode)
+        explanations = _enumerate(tree, src, _scan(tree, src), args.limit)[0]
         if oracle is not None:
-            src = _source(tree, source, mode)
             if point is not None:
                 check_classification(oracle, point, src.target, src.path)
             check_enumeration(

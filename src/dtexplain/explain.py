@@ -19,9 +19,12 @@ instance's equality literals, with the class they must entail.
 :func:`_source` resolves it once, into the record that the scan,
 extraction, enumeration, report and checkers all read.  One node-local
 scan per source, :func:`_scan`, decides which features can be dropped
-alone, examining each tree node at most once.  The features it cannot
-drop form the *core*, which every PI-explanation drawn from the source
-contains; the first one it can drop is the redundancy witness.
+alone, counting each tree node at most once.  It does not enter every
+node it counts: an off-path subtree that the lookup would walk in plain
+preorder is counted from the tree's preorder summaries.  The features
+it cannot drop form the *core*, which every PI-explanation drawn from
+the source contains; the first one it can drop is the redundancy
+witness.
 Extraction returns the core when the core alone entails the prediction.
 Otherwise it drops the other features greedily, each when a lookup with
 it freed finds no contrary leaf.  Each lookup starts on the source's path
@@ -61,7 +64,7 @@ PATH_RESTRICTED = "path-restricted"
 PATH_UNRESTRICTED = "path-unrestricted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explanation:
     """A literal set claimed to entail a prediction.
 
@@ -88,7 +91,7 @@ class Explanation:
         return {name: vals[0] if len(vals) == 1 else vals for name, vals in named}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RedundancyResult:
     redundant: bool
     witness: int | None
@@ -226,17 +229,31 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
     literals without it still entail its target.
 
     The path is walked deepest first.  At a node testing feature ``f``,
-    one lookup from the node searches the untaken edges' subtrees, with
-    ``f`` allowed every value that reaches the node but leaves the path.
-    A feature whose lookup finds a contrary leaf is in the core; the first
-    one whose shallowest test is passed with none found is the redundancy
-    witness, where ``stop`` ends the walk.
+    the untaken edges' subtrees are searched in declaration order, with
+    ``f`` allowed every value that reaches the node but leaves the path,
+    until a contrary leaf is found.  A feature whose search finds one is
+    in the core; the first one whose shallowest test is passed with none
+    found is the redundancy witness, where ``stop`` ends the walk.
+
+    Each subtree ``S`` is searched by :func:`_contrary_leaf` from ``S``,
+    unless its preorder summaries (:attr:`DecisionTree._preorder`) answer
+    for it: every edge of the tree is reachable, so the lookup would walk
+    ``S`` in plain preorder up to its first contrary leaf unless that walk
+    tests a feature narrowed below what reaches the node.  For a path
+    those are the features the path tests below the node, other than
+    ``f``; an instance pins every feature, so its search is one lookup
+    from the node.  The node counts and answers are the same either way.
     """
     parent, feature_of, children = tree._parent, tree._feature, tree._children
     above_of, full, target = tree._above, tree._full, src.target
     allowed = _allowed(tree, src.literals)
     top: dict[int, int] = {}
     core = visits = 0
+    # the features the path tests below the node; an instance's -1 pins all
+    narrowed = -1
+    if src.mode == PATH_RESTRICTED:
+        narrowed, classes, alone = 0, tree._classes, 1 << target
+        first, first_count, first_tested, other_count, other_tested = tree._preorder
     verdict = None
     child = src.path.leaf
     while (node := parent[child]) >= 0:
@@ -245,12 +262,34 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
         if core >> f & 1:
             visits += 1
         else:
-            for other, taken in children[node]:
-                if other == child:
-                    break
             kept, above = allowed[f], above_of[node]
-            allowed[f] = (above or full[f]) & ~taken
-            found, examined = _contrary_leaf(tree, node, target, allowed)
+            if narrowed < 0:
+                for other, taken in children[node]:
+                    if other == child:
+                        break
+                allowed[f] = (above or full[f]) & ~taken
+                found, examined = _contrary_leaf(tree, node, target, allowed)
+            else:
+                entry, pinned = above or full[f], narrowed & ~(1 << f)
+                # a core feature's bit was set at the deeper test that found it
+                narrowed |= 1 << f
+                found, examined = False, 1
+                for other, mask in children[node]:
+                    step = mask & entry
+                    if other == child or not step:
+                        continue
+                    if first[other] != target:
+                        found, count = True, first_count[other]
+                        tested = first_tested[other]
+                    else:
+                        found, count = classes[other] != alone, other_count[other]
+                        tested = other_tested[other]
+                    if tested & pinned:
+                        allowed[f] = step
+                        found, count = _contrary_leaf(tree, other, target, allowed)
+                    examined += count
+                    if found:
+                        break
             allowed[f] = kept
             visits += examined
             if found:

@@ -167,6 +167,11 @@ class FeatureSpace:
             if len(set(f.domain)) != len(f.domain):
                 raise TreeSchemaError(f"duplicate value in domain of {f.name!r}")
         self._by_name = {f.name: f for f in self.features}
+        self._sizes = tuple(len(f.domain) for f in self.features)
+        # each feature's whole-domain value mask, shared by every tree over
+        # the space: callers copy it before narrowing a mask
+        self._full = [(1 << size) - 1 for size in self._sizes]
+        self._points = math.prod(self._sizes)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, Sequence[str]]]) -> "FeatureSpace":
@@ -191,11 +196,11 @@ class FeatureSpace:
 
     def point_count(self) -> int:
         """Exact number of points in the space (1 for an empty space)."""
-        return math.prod(len(f.domain) for f in self.features)
+        return self._points
 
     def points(self):
         """Iterate all points of the space as value-index tuples."""
-        return itertools.product(*(range(len(f.domain)) for f in self.features))
+        return itertools.product(*map(range, self._sizes))
 
 
 Instance = tuple  # value index per feature, in feature order
@@ -206,8 +211,8 @@ def _check_point(space: FeatureSpace, point: Instance) -> None:
     per feature."""
     if len(point) != len(space):
         raise InstanceError(f"expected {len(space)} values, got {len(point)}")
-    for feat, val in zip(space.features, point):
-        if not (isinstance(val, int) and 0 <= val < len(feat.domain)):
+    for feat, val, size in zip(space.features, point, space._sizes):
+        if not (isinstance(val, int) and 0 <= val < size):
             raise InstanceError(
                 f"value index {val!r} out of range for feature {feat.name!r}"
             )
@@ -347,13 +352,13 @@ def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ..
     return _point_literals(point)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     values: frozenset[int]
     child: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     feature: int
     edges: tuple[Edge, ...]
@@ -434,7 +439,7 @@ class DecisionTree:
             raise TreeSchemaError("duplicate class name")
         self.root = root
         self.nodes: dict[str, Node] = dict(nodes)
-        self._full = [(1 << len(f.domain)) - 1 for f in space.features]
+        self._full = space._full
         self._paths = self._build_paths(self._validate_nodes())
         self._path_by_id = {p.path_id: p for p in self._paths}
 
@@ -534,7 +539,8 @@ class DecisionTree:
         0).  A value mask has bit ``v`` set for value index ``v``.  Two
         subtree summaries follow: ``_below`` (bit ``f`` for each feature
         tested at or below the node) and ``_classes`` (bit ``c`` for each
-        class of a leaf at or below it)."""
+        class of a leaf at or below it); :attr:`_preorder` adds five more,
+        built on first use."""
         n = len(self.nodes)
         ids = self._ids = [self.root]
         feature = self._feature = [-1] * n
@@ -591,6 +597,42 @@ class DecisionTree:
             below[p] |= below[i]
             classes[p] |= classes[i]
         return tuple(paths)
+
+    @functools.cached_property
+    def _preorder(self) -> tuple[list[int], ...]:
+        """Five lists by node number that summarise each subtree's preorder
+        walk, edges in declaration order: the class of its first leaf; the
+        number of nodes the walk enters up to that leaf (inclusive) and the
+        features those nodes test, as a bit mask; and the same two up to
+        the first leaf of any other class, over the whole subtree when
+        there is none.  Together they give, for any target class, the walk
+        up to the subtree's first leaf of another class.  They are built on
+        first use, so a tree that is never scanned does not pay for them;
+        a concurrent first use builds equal lists."""
+        children, classes = self._children, self._classes
+        n = len(children)
+        first = self._class[:]
+        first_count, other_count = [1] * n, [1] * n
+        first_tested = [1 << f if f >= 0 else 0 for f in self._feature]
+        other_tested = first_tested[:]
+        # children are numbered after their parent, so each is done first
+        for node in range(n - 1, -1, -1):
+            if not children[node]:
+                continue
+            head = children[node][0][0]
+            c = first[node] = first[head]
+            first_count[node] += first_count[head]
+            first_tested[node] |= first_tested[head]
+            for child, _ in children[node]:
+                if first[child] != c:
+                    other_count[node] += first_count[child]
+                    other_tested[node] |= first_tested[child]
+                    break
+                other_count[node] += other_count[child]
+                other_tested[node] |= other_tested[child]
+                if classes[child] != 1 << c:
+                    break
+        return first, first_count, first_tested, other_count, other_tested
 
     def _path_prefix(self, class_id: int) -> str:
         """Paths of the second class are P1.., the first class Q1.. (the
@@ -652,17 +694,21 @@ def classify(tree: DecisionTree, instance: Instance) -> tuple[int, TreePath]:
 
 
 def path_point_count(space: FeatureSpace, literals: Iterable[Literal]) -> int:
-    """Exact number of space points consistent with a literal set."""
-    full = [(1 << len(f.domain)) - 1 for f in space.features]
-    allowed = full[:]
+    """Exact number of space points consistent with a literal set, in time
+    linear in the number of literals."""
+    full = space._full
+    allowed: dict[int, int] = {}
     for lit in _check_in_space(full, literals):
-        allowed[lit.feature] &= lit.mask
-    if 0 in allowed:
-        name = space.feature(allowed.index(0)).name
+        allowed[lit.feature] = allowed.get(lit.feature, full[lit.feature]) & lit.mask
+    if 0 in allowed.values():
+        name = space.feature(min(f for f, mask in allowed.items() if not mask)).name
         raise InconsistentLiteralsError(
             f"literals constrain {name!r} to no value at all"
         )
-    return math.prod(mask.bit_count() for mask in allowed)
+    count = space._points
+    for f, mask in allowed.items():
+        count = count // space._sizes[f] * mask.bit_count()
+    return count
 
 
 # -- JSON tree format -------------------------------------------------------
@@ -732,6 +778,7 @@ def parse_tree(text: str) -> DecisionTree:
     nodes: dict[str, Node] = {}
     leaves = [Leaf(c) for c in range(len(classes))]
     value_sets: dict[frozenset[int], frozenset[int]] = {}  # one object per set
+    names = {node_id: node_id for node_id in doc["nodes"]}  # one per node id
     for node_id, obj in doc["nodes"].items():
         if not isinstance(obj, dict):
             raise TreeSchemaError(f"node {node_id!r} must be a JSON object")
@@ -771,7 +818,8 @@ def parse_tree(text: str) -> DecisionTree:
                 )
             value_set = frozenset(feat.value_index(v) for v in values)
             value_set = value_sets.setdefault(value_set, value_set)
-            edges.append(Edge(value_set, eobj["child"]))
+            child = names.get(eobj["child"], eobj["child"])
+            edges.append(Edge(value_set, child))
         nodes[node_id] = Split(feat.index, tuple(edges))
 
     return DecisionTree(space, classes, doc["root"], nodes)

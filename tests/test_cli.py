@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import pytest
 from conftest import fixture_path, load_tree
 
 import dtexplain
-from dtexplain import BruteForceOracle, Literal
+from dtexplain import BruteForceOracle, Literal, random_instance
 from dtexplain.cli import run
 from dtexplain.explain import Explanation, RedundancyResult
 
@@ -406,21 +407,24 @@ def test_verify_stats_parses_each_file_once(capsys, monkeypatch):
 
 
 def _drop_last(real):
-    def lie(tree, source, mode, limit=None):
-        return real(tree, source, mode, limit)[:-1]
+    def lie(tree, src, scan, limit):
+        found, entered = real(tree, src, scan, limit)
+        return found[:-1], entered
     return lie
 
 
 def _twice(real):
-    def lie(tree, source, mode, limit=None):
-        return real(tree, source, mode, limit) * 2  # every set repeated
+    def lie(tree, src, scan, limit):
+        found, entered = real(tree, src, scan, limit)
+        return found * 2, entered  # every set repeated
     return lie
 
 
 def _merge_first_two(real):
-    def lie(tree, source, mode, limit=None):
-        first, second = real(tree, source, mode)[:2]  # entails, not minimal
-        return [Explanation(first.literals | second.literals, first.target)]
+    def lie(tree, src, scan, limit):
+        found, entered = real(tree, src, scan, None)
+        first, second = found[:2]  # entails, not minimal
+        return [Explanation(first.literals | second.literals, first.target)], entered
     return lie
 
 
@@ -468,15 +472,15 @@ def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
     "target, liar, argv",
     [
         (
-            "dtexplain.cli.enumerate_pi_explanations", _drop_last,
+            "dtexplain.cli._enumerate", _drop_last,
             ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]'),
         ),
         (
-            "dtexplain.cli.enumerate_pi_explanations", _twice,
+            "dtexplain.cli._enumerate", _twice,
             ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]'),
         ),
         (
-            "dtexplain.cli.enumerate_pi_explanations", _merge_first_two,
+            "dtexplain.cli._enumerate", _merge_first_two,
             ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]',
              "--limit", "1"),
         ),
@@ -513,8 +517,8 @@ def _another_path_of_its_class(real):
 
 
 def _x1_is_1(real):
-    def lie(tree, source):  # entails class 1 and is minimal, but not the source's
-        return Explanation(frozenset({Literal(0, 0b10)}), 1)
+    def lie(tree, src, scan):  # entails class 1 and is minimal, but not the source's
+        return Explanation(frozenset({Literal(0, 0b10)}), 1), 0
     return lie
 
 
@@ -536,11 +540,11 @@ def _drop_one_more(real):
             ("classify", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
         ),
         (
-            "dtexplain.cli.one_pi_explanation_path", _x1_is_1,
+            "dtexplain.cli._extract", _x1_is_1,
             ("explain", "-t", fixture_path("or_tree"), "--path", "P1"),
         ),
         (
-            "dtexplain.cli.one_pi_explanation_instance", _x1_is_1,
+            "dtexplain.cli._extract", _x1_is_1,
             ("explain", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
         ),
         (
@@ -607,9 +611,7 @@ def test_cli_verifies_only_through_the_selfcheck_checkers():
 
 def test_verify_detects_a_short_truncated_enumeration(capsys, monkeypatch):
     """Under --limit N, fewer than N sets when the oracle has N is a mismatch."""
-    monkeypatch.setattr(
-        "dtexplain.cli.enumerate_pi_explanations", lambda *args: []
-    )
+    monkeypatch.setattr("dtexplain.cli._enumerate", lambda *args: ([], 0))
     code, out, err = invoke(
         capsys, "enumerate", "-t", fixture_path("selector"),
         "-i", '["1", "1", "1", "1"]', "--limit", "1", "--verify",
@@ -618,13 +620,47 @@ def test_verify_detects_a_short_truncated_enumeration(capsys, monkeypatch):
     assert err == "dtexplain: oracle mismatch: enumeration found 0 sets, oracle 1\n"
 
 
+@pytest.mark.parametrize("command", ["explain", "enumerate"])
+@pytest.mark.parametrize("mode", ["unrestricted", "restricted"])
+def test_verify_classifies_each_instance_once(
+    capsys, monkeypatch, tmp_path, command, mode
+):
+    """Each row is checked once when read and once when its source is
+    resolved, and --verify checks the answers from that same source."""
+    tree = load_tree("restaurant")
+    rng = random.Random(12)
+    rows = tmp_path / "rows.csv"
+    lines = [",".join(f.name for f in tree.space.features)]
+    for _ in range(12):
+        point = random_instance(tree.space, rng)
+        lines.append(",".join(f.domain[v] for f, v in zip(tree.space.features, point)))
+    rows.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    checks = []
+    check = dtexplain.model._check_point
+
+    def counted(space, point):
+        checks.append(point)
+        check(space, point)
+
+    monkeypatch.setattr(dtexplain.model, "_check_point", counted)
+    argv = (command, "-t", fixture_path("restaurant"), "--instances", str(rows),
+            "--mode", mode)
+    counts = []
+    for verify in ((), ("--verify",)):
+        del checks[:]
+        code, out, _ = invoke(capsys, *argv, *verify)
+        assert code == 0 and out
+        counts.append(len(checks))
+    assert counts == [24, 24]
+
+
 @pytest.mark.parametrize("keep", ["all", "none"])
 def test_verify_detects_a_lying_extractor(capsys, monkeypatch, keep):
-    def lie(tree, path):
-        literals = path.literal_set() if keep == "all" else frozenset()
-        return Explanation(literals, path.prediction)
+    def lie(tree, src, scan):
+        literals = src.path.literal_set() if keep == "all" else frozenset()
+        return Explanation(literals, src.target), 0
 
-    monkeypatch.setattr("dtexplain.cli.one_pi_explanation_path", lie)
+    monkeypatch.setattr("dtexplain.cli._extract", lie)
     tree = load_tree("play_tennis")
     code, out, err = invoke(
         capsys, "explain", "-t", fixture_path("play_tennis"), "--path", "P1", "--verify"

@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import dtexplain.explain
 from conftest import (
     FIXTURE_NAMES,
     literal_names,
@@ -386,6 +387,122 @@ def test_pruned_lookups_match_unpruned(tree):
 def test_pruned_lookups_match_unpruned_on_random_trees():
     for seed in range(200):
         assert_pruning_matches_unpruned(random_tree(seed))
+
+
+def one_lookup_per_node_scan(tree, src, stop):
+    """The scan with one plain lookup per path node outside the core, from
+    the node over its untaken edges; returns the scan's core, ``top`` in
+    order, verdict and visits, and the number of lookups made."""
+    allowed = allowed_masks(tree, src.literals)
+    top, core, visits, lookups, verdict = {}, 0, 0, 0, None
+    child = src.path.leaf
+    while (node := tree._parent[child]) >= 0:
+        f = tree._feature[node]
+        top[f] = node
+        if core >> f & 1:
+            visits += 1
+        else:
+            taken = dict(tree._children[node])[child]
+            kept, above = allowed[f], tree._above[node]
+            allowed[f] = (above or tree._full[f]) & ~taken
+            found, examined = _contrary_leaf(tree, node, src.target, allowed)
+            allowed[f] = kept
+            visits += examined
+            lookups += 1
+            if found:
+                core |= 1 << f
+            elif verdict is None and not above:
+                verdict = RedundancyResult(True, f, visits)
+                if stop:
+                    break
+        child = node
+    verdict = verdict or RedundancyResult(False, None, visits)
+    return (core, list(top.items()), verdict, visits), lookups
+
+
+def scan_battery():
+    """Every fixture, small and wider random trees and OR-chains."""
+    yield from (load_tree(name) for name in FIXTURE_NAMES)
+    yield from (random_tree(seed) for seed in range(300))
+    yield from (
+        random_tree(seed, max_features=10, max_domain=5, max_depth=8)
+        for seed in range(200)
+    )
+    yield from (or_chain_tree(d) for d in (1, 2, 5, 40))
+
+
+def count_lookups(monkeypatch) -> list:
+    """Count the scan's calls of the lookup kernel in ``calls[0]``."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return _contrary_leaf(*args)
+
+    monkeypatch.setattr(dtexplain.explain, "_contrary_leaf", counted)
+    return calls
+
+
+def test_scan_matches_one_lookup_per_node(monkeypatch):
+    """Counting off-path subtrees from their preorder summaries gives the
+    same core, ``top`` order, verdict (with its node visits) and visits as
+    a lookup from every node; an instance's scan makes no more lookups."""
+    calls = count_lookups(monkeypatch)
+    for tree in scan_battery():
+        rng = random.Random(6)
+        sources = [_source(tree, path, PATH_RESTRICTED) for path in tree.paths]
+        sources += [
+            _source(tree, random_instance(tree.space, rng), PATH_UNRESTRICTED)
+            for _ in range(6)
+        ]
+        for src in sources:
+            for stop in (False, True):
+                want, lookups = one_lookup_per_node_scan(tree, src, stop)
+                calls[0] = 0
+                scan = _scan(tree, src, stop)
+                got = (scan.core, list(scan.top.items()), scan.verdict, scan.visits)
+                assert got == want
+                if src.mode == PATH_UNRESTRICTED:
+                    assert calls[0] <= lookups
+
+
+def preorder_summaries(tree, node):
+    """The preorder walk of ``node``'s subtree, edges in declaration order:
+    its first leaf's class, the nodes entered and features tested up to
+    that leaf, and the same up to the first leaf of another class (or the
+    whole subtree)."""
+    first, count, tested, stack = None, 0, 0, [node]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if tree._feature[node] >= 0:
+            tested |= 1 << tree._feature[node]
+            stack.extend(child for child, _ in reversed(tree._children[node]))
+        elif first is None:
+            first = (tree._class[node], count, tested)
+        elif tree._class[node] != first[0]:
+            break
+    return first + (count, tested)
+
+
+def test_preorder_summaries_match_a_direct_walk():
+    for tree in scan_battery():
+        stored = zip(*tree._preorder)
+        want = [preorder_summaries(tree, node) for node in range(tree.node_count)]
+        assert list(stored) == want
+
+
+def test_or_chain_scans_make_no_lookup(monkeypatch):
+    """Every off-path subtree of an OR-chain path is a leaf or the rest of
+    the chain below the path, whose features the path does not narrow, so
+    the scan counts them all from the summaries."""
+    calls = count_lookups(monkeypatch)
+    tree = or_chain_tree(200)
+    for path in tree.paths:
+        src = _source(tree, path, PATH_RESTRICTED)
+        for stop in (False, True):
+            assert _scan(tree, src, stop).visits > 0
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("d", [50, 100, 200])

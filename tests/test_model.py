@@ -791,6 +791,23 @@ def test_point_count_inconsistent_literals():
         path_point_count(tree.space, pair)
 
 
+def test_point_count_names_the_lowest_inconsistent_feature():
+    """With two features left with no value, the error names the one of
+    lower index, whatever the literals' order."""
+    tree = load_tree("or_tree")
+    clash = [Literal(1, 0b1), Literal(1, 0b10), Literal(0, 0b10), Literal(0, 0b1)]
+    for literals in (clash, clash[::-1]):
+        with pytest.raises(InconsistentLiteralsError, match="'x1'"):
+            path_point_count(tree.space, literals)
+
+
+def test_point_count_repeated_features_match_enumeration():
+    tree = load_tree("play_tennis")
+    literals = [Literal(1, 0b110), Literal(1, 0b011), Literal(0, 0b11)]
+    expected = count_by_enumeration(tree.space, literals)
+    assert path_point_count(tree.space, literals) == expected == 4
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_paths_partition_feature_space(name):
     tree = load_tree(name)
