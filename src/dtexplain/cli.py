@@ -239,19 +239,29 @@ def _cmd_redundancy(args) -> int:
     return _print(args, single, rows, dict, text)
 
 
-def _cmd_explain(args) -> int:
-    tree = parse_tree_file(args.tree)
+def _answers(tree: DecisionTree, args, answer, check) -> tuple[list, bool]:
+    """Resolve and scan each source the flags name and ``answer`` it; under
+    --verify, check its classification and ``check`` the answer.  Also
+    returns whether the flags name a single source."""
     sources, single = _sources(tree, args)
     oracle = BruteForceOracle(tree) if args.verify else None
     results = []
     for mode, source, point in sources:
         src = _source(tree, source, mode)
-        explanation = _extract(tree, src, _scan(tree, src))[0]
+        result = answer(src, _scan(tree, src))
         if oracle is not None:
             if point is not None:
                 check_classification(oracle, point, src.target, src.path)
-            check_extraction(oracle, src.literals, src.target, explanation)
-        results.append(explanation)
+            check(oracle, src.literals, src.target, result)
+        results.append(result)
+    return results, single
+
+
+def _cmd_explain(args) -> int:
+    tree = parse_tree_file(args.tree)
+    results, single = _answers(
+        tree, args, lambda src, scan: _extract(tree, src, scan)[0], check_extraction
+    )
     return _print(
         args, single, results,
         lambda e: e.as_value_map(tree), lambda e: [e.render(tree)],
@@ -262,19 +272,11 @@ def _cmd_enumerate(args) -> int:
     tree = parse_tree_file(args.tree)
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be non-negative")
-    sources, single = _sources(tree, args)
-    oracle = BruteForceOracle(tree) if args.verify else None
-    blocks = []
-    for mode, source, point in sources:
-        src = _source(tree, source, mode)
-        explanations = _enumerate(tree, src, _scan(tree, src), args.limit)[0]
-        if oracle is not None:
-            if point is not None:
-                check_classification(oracle, point, src.target, src.path)
-            check_enumeration(
-                oracle, src.literals, src.target, explanations, args.limit
-            )
-        blocks.append(explanations)
+    blocks, single = _answers(
+        tree, args,
+        lambda src, scan: _enumerate(tree, src, scan, args.limit)[0],
+        lambda *known: check_enumeration(*known, args.limit),
+    )
     return _print(
         args, single, blocks,
         lambda block: [e.as_value_map(tree) for e in block],

@@ -21,7 +21,8 @@ extraction, enumeration, report and checkers all read.  One node-local
 scan per source, :func:`_scan`, decides which features can be dropped
 alone, counting each tree node at most once.  It does not enter every
 node it counts: an off-path subtree that the lookup would walk in plain
-preorder is counted from the tree's preorder summaries.  The features
+preorder, a leaf among them, is counted from the tree's preorder
+summaries, for a path and for an instance alike.  The features
 it cannot drop form the *core*, which every PI-explanation drawn from
 the source contains; the first one it can drop is the redundancy
 witness.
@@ -239,21 +240,22 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
     unless its preorder summaries (:attr:`DecisionTree._preorder`) answer
     for it: every edge of the tree is reachable, so the lookup would walk
     ``S`` in plain preorder up to its first contrary leaf unless that walk
-    tests a feature narrowed below what reaches the node.  For a path
-    those are the features the path tests below the node, other than
-    ``f``; an instance pins every feature, so its search is one lookup
-    from the node.  The node counts and answers are the same either way.
+    tests a *pinned* feature, one the literals narrow below what reaches
+    the node: for a path, one it tests below the node; for an instance,
+    whose single values are taken to pin them all, any.  ``f`` is never
+    pinned, so an off-path leaf is counted without a lookup.  The counts
+    and answers are those of one lookup from the node.
     """
     parent, feature_of, children = tree._parent, tree._feature, tree._children
     above_of, full, target = tree._above, tree._full, src.target
+    classes, alone = tree._classes, 1 << target
+    first, first_count, first_tested, other_count, other_tested = tree._preorder
     allowed = _allowed(tree, src.literals)
     top: dict[int, int] = {}
     core = visits = 0
-    # the features the path tests below the node; an instance's -1 pins all
-    narrowed = -1
-    if src.mode == PATH_RESTRICTED:
-        narrowed, classes, alone = 0, tree._classes, 1 << target
-        first, first_count, first_tested, other_count, other_tested = tree._preorder
+    # the pinned features, ``f`` aside: a path's tested below the node,
+    # an instance's all
+    narrowed = 0 if src.mode == PATH_RESTRICTED else -1
     verdict = None
     child = src.path.leaf
     while (node := parent[child]) >= 0:
@@ -263,33 +265,26 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
             visits += 1
         else:
             kept, above = allowed[f], above_of[node]
-            if narrowed < 0:
-                for other, taken in children[node]:
-                    if other == child:
-                        break
-                allowed[f] = (above or full[f]) & ~taken
-                found, examined = _contrary_leaf(tree, node, target, allowed)
-            else:
-                entry, pinned = above or full[f], narrowed & ~(1 << f)
-                # a core feature's bit was set at the deeper test that found it
-                narrowed |= 1 << f
-                found, examined = False, 1
-                for other, mask in children[node]:
-                    step = mask & entry
-                    if other == child or not step:
-                        continue
-                    if first[other] != target:
-                        found, count = True, first_count[other]
-                        tested = first_tested[other]
-                    else:
-                        found, count = classes[other] != alone, other_count[other]
-                        tested = other_tested[other]
-                    if tested & pinned:
-                        allowed[f] = step
-                        found, count = _contrary_leaf(tree, other, target, allowed)
-                    examined += count
-                    if found:
-                        break
+            entry, pinned = above or full[f], narrowed & ~(1 << f)
+            # a core feature's bit was set at the deeper test that found it
+            narrowed |= 1 << f
+            found, examined = False, 1
+            for other, mask in children[node]:
+                step = mask & entry
+                if other == child or not step:
+                    continue
+                if first[other] != target:
+                    found, count = True, first_count[other]
+                    tested = first_tested[other]
+                else:
+                    found, count = classes[other] != alone, other_count[other]
+                    tested = other_tested[other]
+                if tested & pinned:
+                    allowed[f] = step
+                    found, count = _contrary_leaf(tree, other, target, allowed)
+                examined += count
+                if found:
+                    break
             allowed[f] = kept
             visits += examined
             if found:

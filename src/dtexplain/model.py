@@ -607,8 +607,8 @@ class DecisionTree:
         the first leaf of any other class, over the whole subtree when
         there is none.  Together they give, for any target class, the walk
         up to the subtree's first leaf of another class.  They are built on
-        first use, so a tree that is never scanned does not pay for them;
-        a concurrent first use builds equal lists."""
+        the tree's first scan, so a tree that is only parsed or classified
+        does not pay for them; a concurrent first use builds equal lists."""
         children, classes = self._children, self._classes
         n = len(children)
         first = self._class[:]
@@ -779,7 +779,8 @@ def parse_tree(text: str) -> DecisionTree:
     leaves = [Leaf(c) for c in range(len(classes))]
     value_sets: dict[frozenset[int], frozenset[int]] = {}  # one object per set
     names = {node_id: node_id for node_id in doc["nodes"]}  # one per node id
-    for node_id, obj in doc["nodes"].items():
+    for node_id in names:
+        obj = doc["nodes"].pop(node_id)  # freed once read, before lowering
         if not isinstance(obj, dict):
             raise TreeSchemaError(f"node {node_id!r} must be a JSON object")
         if "leaf" in obj:

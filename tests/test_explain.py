@@ -432,12 +432,15 @@ def scan_battery():
 
 
 def count_lookups(monkeypatch) -> list:
-    """Count the scan's calls of the lookup kernel in ``calls[0]``."""
-    calls = [0]
+    """Count the scan's calls of the lookup kernel in ``calls[0]`` and the
+    nodes they enter in ``calls[1]``."""
+    calls, kernel = [0, 0], dtexplain.explain._contrary_leaf
 
     def counted(*args):
+        found, examined = kernel(*args)
         calls[0] += 1
-        return _contrary_leaf(*args)
+        calls[1] += examined
+        return found, examined
 
     monkeypatch.setattr(dtexplain.explain, "_contrary_leaf", counted)
     return calls
@@ -446,8 +449,11 @@ def count_lookups(monkeypatch) -> list:
 def test_scan_matches_one_lookup_per_node(monkeypatch):
     """Counting off-path subtrees from their preorder summaries gives the
     same core, ``top`` order, verdict (with its node visits) and visits as
-    a lookup from every node; an instance's scan makes no more lookups."""
+    a lookup from every node, and the scan's lookups enter no more nodes,
+    for paths and instances alike."""
     calls = count_lookups(monkeypatch)
+    # the reference's lookups are counted too
+    monkeypatch.setitem(globals(), "_contrary_leaf", dtexplain.explain._contrary_leaf)
     for tree in scan_battery():
         rng = random.Random(6)
         sources = [_source(tree, path, PATH_RESTRICTED) for path in tree.paths]
@@ -457,13 +463,13 @@ def test_scan_matches_one_lookup_per_node(monkeypatch):
         ]
         for src in sources:
             for stop in (False, True):
-                want, lookups = one_lookup_per_node_scan(tree, src, stop)
-                calls[0] = 0
+                calls[1] = 0
+                want, _ = one_lookup_per_node_scan(tree, src, stop)
+                entered, calls[1] = calls[1], 0
                 scan = _scan(tree, src, stop)
                 got = (scan.core, list(scan.top.items()), scan.verdict, scan.visits)
                 assert got == want
-                if src.mode == PATH_UNRESTRICTED:
-                    assert calls[0] <= lookups
+                assert calls[1] <= entered
 
 
 def preorder_summaries(tree, node):
@@ -495,14 +501,23 @@ def test_preorder_summaries_match_a_direct_walk():
 def test_or_chain_scans_make_no_lookup(monkeypatch):
     """Every off-path subtree of an OR-chain path is a leaf or the rest of
     the chain below the path, whose features the path does not narrow, so
-    the scan counts them all from the summaries."""
+    the scan counts them all from the summaries.  An instance pins every
+    feature, so only the rest of the chain below its first 1 is looked
+    up; the all-zero instance's off-path subtrees are all leaves."""
     calls = count_lookups(monkeypatch)
     tree = or_chain_tree(200)
-    for path in tree.paths:
-        src = _source(tree, path, PATH_RESTRICTED)
+    rng = random.Random(4)
+    zero = (0,) * 200
+    points = [tuple(int(k == j) for k in range(200)) for j in (0, 1, 100, 199)]
+    points += [random_instance(tree.space, rng) for _ in range(4)]
+    sources = [(_source(tree, path, PATH_RESTRICTED), 0) for path in tree.paths]
+    sources.append((_source(tree, zero, PATH_UNRESTRICTED), 0))
+    sources += [(_source(tree, p, PATH_UNRESTRICTED), 1) for p in points]
+    for src, most in sources:
         for stop in (False, True):
+            calls[0] = 0
             assert _scan(tree, src, stop).visits > 0
-    assert calls[0] == 0
+            assert calls[0] <= most
 
 
 @pytest.mark.parametrize("d", [50, 100, 200])
