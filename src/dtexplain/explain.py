@@ -10,9 +10,11 @@ Every question here is answered by one lookup kernel,
 tree's lowered form (integer node numbers, see
 :class:`~dtexplain.model.DecisionTree`), for a leaf of another class that
 a point can reach whose features take values in one int mask per feature
-(a universal feature holds its whole domain's mask).  It narrows the
-masks in place and restores them before it returns, and being iterative
-it is not limited by the interpreter's recursion depth.
+(a universal feature holds its whole domain's mask).  It only reads the
+masks: at a node that re-tests a feature, it meets that feature's mask
+with the values the edges from the root let reach the node
+(``DecisionTree._above``).  Being iterative, it is not limited by the
+interpreter's recursion depth.
 
 Each question starts from a source: a path's literals, or an
 instance's equality literals, with the class they must entail.
@@ -28,11 +30,9 @@ the source contains; the first one it can drop is the redundancy
 witness.
 Extraction returns the core when the core alone entails the prediction.
 Otherwise it drops the other features greedily, each when a lookup with
-it freed finds no contrary leaf.  Each lookup starts on the source's path
-and skips the subtrees that two summaries (``_below``: the features
-tested at or below a node; ``_classes``: the classes of the leaves below
-it) show to hold no reachable contrary leaf, so it gives the unpruned
-answer after entering a subset of its nodes.
+it freed finds no contrary leaf.  Each lookup starts on the source's path,
+above the shallowest test of every freed feature, and none is made for a
+feature that the ``_below`` summary shows untested below the start.
 """
 
 from __future__ import annotations
@@ -100,12 +100,7 @@ class RedundancyResult:
 
 
 def _contrary_leaf(
-    tree: DecisionTree,
-    node: int,
-    target: int,
-    allowed: list[int],
-    freed: int = -1,
-    kept: int = 0,
+    tree: DecisionTree, node: int, target: int, allowed: list[int]
 ) -> tuple[bool, int]:
     """Whether a leaf below node number ``node`` (inclusive) predicts a
     class other than ``target`` and is reachable by a point whose features
@@ -113,51 +108,35 @@ def _contrary_leaf(
 
     Edges are searched in declaration order and the search stops at the
     first contrary leaf.  Also returns the number of nodes entered, leaves
-    included.  ``allowed`` is narrowed in place and restored before the
-    return.
+    included.
 
-    With ``freed``, the caller vouches that the same lookup with
-    ``allowed[freed] = kept`` finds nothing, and the search skips every
-    child that provably holds no reachable contrary leaf: one whose leaves
-    all predict ``target``, and one below which ``freed`` is not tested
-    while the values of ``freed`` narrowed so far still meet ``kept``.
+    ``allowed`` is only read: at a node that re-tests a feature, the
+    feature's mask is met with ``tree._above``, the values that the edges
+    from the root let reach that node.  The answer is therefore that of a
+    search that narrows the masks on the way down from ``node``, started
+    with each mask met with the edges taken to ``node``.  Each caller's
+    masks lie inside those edges, or leave free a feature not tested
+    above ``node``: ``entails`` starts at the root, and extraction on the
+    source's path above the shallowest test of every feature it frees.
+    The scan alone starts just below a test of the feature it frees, which
+    the meet then limits to the edge taken there.
     """
-    feature_of, leaf_class, children = tree._feature, tree._class, tree._children
-    prune = freed >= 0
-    if prune:
-        below, classes = tree._below, tree._classes
-        bit, other = 1 << freed, ~(1 << target)
+    feature_of, leaf_class = tree._feature, tree._class
+    children, above = tree._children, tree._above
     examined = 0
-    # (node, feature, values): enter node with allowed[feature] = values
-    # (feature -1: nothing narrowed); node -1 restores allowed[feature]
-    stack = [(node, -1, 0)]
+    stack = [node]
     while stack:
-        node, feature, values = stack.pop()
-        if node < 0:
-            allowed[feature] = values
-            continue
+        node = stack.pop()
         examined += 1
         f = feature_of[node]
         if f < 0:
             if leaf_class[node] != target:
-                for node, feature, values in reversed(stack):
-                    if node < 0:
-                        allowed[feature] = values
                 return True, examined
             continue
-        if feature >= 0:
-            stack.append((-1, feature, allowed[feature]))
-            allowed[feature] = values
-        entry = allowed[f]
+        values = allowed[f] & (above[node] or -1)
         for child, mask in reversed(children[node]):
-            step = mask & entry
-            if not step or prune and (
-                not classes[child] & other
-                or not below[child] & bit
-                and (step if f == freed else allowed[freed]) & kept
-            ):
-                continue
-            stack.append((child, -1, 0) if step == entry else (child, f, step))
+            if mask & values:
+                stack.append(child)
     return False, examined
 
 
@@ -220,7 +199,7 @@ class _Scan(NamedTuple):
 
     core: int  # bit f for each feature the source cannot drop alone
     top: dict[int, int]  # tested feature -> its shallowest test, deepest first
-    masks: list[int]  # the literals' value masks by feature; copy to narrow
+    masks: list[int]  # the literals' value masks by feature; copy to free one
     verdict: RedundancyResult
     visits: int  # nodes examined by the whole walk
 
@@ -265,13 +244,13 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
             visits += 1
         else:
             kept, above = allowed[f], above_of[node]
-            entry, pinned = above or full[f], narrowed & ~(1 << f)
+            pinned = narrowed & ~(1 << f)
             # a core feature's bit was set at the deeper test that found it
             narrowed |= 1 << f
+            allowed[f] = full[f]  # a lookup meets it with the edge it took
             found, examined = False, 1
-            for other, mask in children[node]:
-                step = mask & entry
-                if other == child or not step:
+            for other, _ in children[node]:
+                if other == child:
                     continue
                 if first[other] != target:
                     found, count = True, first_count[other]
@@ -280,7 +259,6 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
                     found, count = classes[other] != alone, other_count[other]
                     tested = other_tested[other]
                 if tested & pinned:
-                    allowed[f] = step
                     found, count = _contrary_leaf(tree, other, target, allowed)
                 examined += count
                 if found:
@@ -315,10 +293,10 @@ def _greedy(
 
     The first drop needs no lookup: the scan found it sound.  A lookup
     starts at the shallower of the tried feature's shallowest test and the
-    start of the last accepted drop (at the leaf if neither exists), above
-    which every tested feature is kept.  It frees one feature with its
-    kept values, and none is made when that feature is not tested at or
-    below the start.
+    start of the last accepted drop (at the leaf if neither exists), so no
+    freed feature is tested above it and every kept literal lies inside
+    the edges taken to it.  None is made when the tried feature is not
+    tested at or below the start.
     """
     core, top, leaf, target = scan.core, scan.top, src.path.leaf, src.target
     full, below = tree._full, tree._below
@@ -333,9 +311,7 @@ def _greedy(
         kept = allowed[feature]
         allowed[feature] = full[feature]
         if dropped and below[start] >> feature & 1:
-            found, examined = _contrary_leaf(
-                tree, start, target, allowed, feature, kept
-            )
+            found, examined = _contrary_leaf(tree, start, target, allowed)
             entered += examined
             if found:
                 allowed[feature] = kept

@@ -16,12 +16,13 @@ lowered form, :func:`_contrary_family`, finds the other minimal members:
 it carries the conflict set down as an int bitmask over the candidates,
 takes no edge that sets a core bit, and skips every subtree whose mask
 already contains a member it found, or whose leaves all have the
-predicted class.  Each candidate's remaining values are an int value mask
-too, indexed by feature; features outside the candidates are free and
-never narrowed.  Berge's incremental loop, :func:`_minimal_hitting_masks`,
-then enumerates the minimal hitting sets of those members as they are,
-with no separate minimisation of the family, and each PI-explanation is
-the core plus one of them.
+predicted class.  A candidate's values left at a node are its literal's
+mask met with ``DecisionTree._above``, the values the edges from the
+root let reach the node, so the search writes no per-feature state;
+features outside the candidates are free.  Berge's incremental loop,
+:func:`_minimal_hitting_masks`, then enumerates the minimal hitting sets
+of those members as they are, with no separate minimisation of the
+family, and each PI-explanation is the core plus one of them.
 :func:`build_hitting_sets` still lists one member per contrary path, for
 inspection.
 """
@@ -117,9 +118,9 @@ def _contrary_family(
 
     A depth-first search from the root, edges in declaration order,
     carries the mask of candidates that the edges on the way down leave
-    no value of.  A candidate's remaining values are narrowed on descent
-    and restored on backtrack; its bit is set when none remain, and
-    features outside the universe are never narrowed.  Masks only grow
+    no value of.  At a node testing a candidate's feature whose bit is
+    clear, the values left are its literal's mask met with
+    ``tree._above``; an edge outside them sets the bit.  Masks only grow
     downwards, so a subtree whose mask already contains a member is
     skipped, and so is one whose leaves all predict ``target``.  Each node
     is entered at most once.
@@ -128,23 +129,17 @@ def _contrary_family(
     left out, and so is every edge that leaves one of them no value.
     """
     bit_of = [0] * len(tree.space)
-    running = [0] * len(tree.space)  # a candidate's remaining value mask
+    values_of = [0] * len(tree.space)  # a candidate's literal mask
     for i, lit in enumerate(universe):
         bit_of[lit.feature] = 1 << i
-        running[lit.feature] = lit.mask
+        values_of[lit.feature] = lit.mask
     feature_of, leaf_class, children = tree._feature, tree._class, tree._children
-    classes, other = tree._classes, ~(1 << target)
+    above, classes, other = tree._above, tree._classes, ~(1 << target)
     family: list[int] = []
     entered = 0
-    # (node, mask, feature, values): enter node with running[feature] =
-    # values (feature -1: nothing narrowed); node -1 restores
-    # running[feature] to values
-    stack = [(0, 0, -1, 0)]
+    stack = [(0, 0)]  # (node, conflict mask on entry)
     while stack:
-        node, mask, feature, values = stack.pop()
-        if node < 0:
-            running[feature] = values
-            continue
+        node, mask = stack.pop()
         if mask:  # skip if the mask contains a member; faster than any()
             for member in family:
                 if member & mask == member:
@@ -162,27 +157,20 @@ def _contrary_family(
                 family = [m for m in family if m & mask != mask]
                 family.append(mask)
             continue
-        if feature >= 0:
-            stack.append((-1, 0, feature, running[feature]))
-            running[feature] = values
         bit = bit_of[f]
         if not bit or mask & bit:
             for child, _ in reversed(children[node]):
                 if classes[child] & other:
-                    stack.append((child, mask, -1, 0))
+                    stack.append((child, mask))
             continue
-        entry = running[f]
-        for child, values in reversed(children[node]):
+        values = values_of[f] & (above[node] or -1)
+        for child, edge in reversed(children[node]):
             if not classes[child] & other:
                 continue
-            step = values & entry
-            if not step:
-                if not bit & core:
-                    stack.append((child, mask | bit, -1, 0))
-            elif step == entry:
-                stack.append((child, mask, -1, 0))
-            else:
-                stack.append((child, mask, f, step))
+            if edge & values:
+                stack.append((child, mask))
+            elif not bit & core:
+                stack.append((child, mask | bit))
     return family, entered
 
 

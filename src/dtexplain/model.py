@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "Feature",
@@ -380,7 +380,8 @@ class TreePath:
     of first test; paths below a common node share their ``Literal``
     objects.  ``leaf`` is the leaf's node number in the tree's lowered
     form and ``depth`` counts the internal nodes on the path.  The nodes
-    themselves are not stored: :meth:`steps` reads them off the tree.
+    themselves are not stored: the tree's parent list leads back from
+    ``leaf``.
     """
 
     tree: "DecisionTree" = field(repr=False)
@@ -393,15 +394,6 @@ class TreePath:
     @property
     def leaf_id(self) -> str:
         return self.tree._ids[self.leaf]
-
-    def steps(self) -> Iterator[tuple[int, int]]:
-        """The path's internal nodes, deepest first, as node numbers
-        ``(node, child)``: the path leaves ``node`` towards ``child``."""
-        parent = self.tree._parent
-        child = self.leaf
-        while (node := parent[child]) >= 0:
-            yield node, child
-            child = node
 
     def literal_set(self) -> frozenset[Literal]:
         return frozenset(self.literals)

@@ -39,6 +39,17 @@ def literal_names(tree, literals) -> frozenset[str]:
     return frozenset(lit.render(tree.space) for lit in literals)
 
 
+def path_steps(tree, end: int) -> list[tuple[int, int]]:
+    """The internal nodes on the path from the root to node number
+    ``end``, deepest first, as ``(node, child)``: the path leaves ``node``
+    towards ``child``.  Read off the tree's parent list."""
+    steps = []
+    while (node := tree._parent[end]) >= 0:
+        steps.append((node, end))
+        end = node
+    return steps
+
+
 def oversized_trees():
     """Six random trees whose feature space the brute-force oracle refuses."""
     budget = OracleBudget().max_points
@@ -62,4 +73,24 @@ def or_chain_tree(depth: int) -> DecisionTree:
         edges = (Edge(frozenset({0}), nxt), Edge(frozenset({1}), f"hit{k + 1}"))
         nodes[f"c{k}"] = Split(k, edges)
         nodes[f"hit{k + 1}"] = Leaf(1)
+    return DecisionTree(space, ("0", "1"), "c0", nodes)
+
+
+def comb_tree(n: int) -> DecisionTree:
+    """Binary features x1 ... x<n>, then y.  Node c<k> tests x<k+1>:
+    value 0 leads to the next test (the last to a class-0 leaf), value 1
+    to a test of y whose y=1 leaf is the only leaf of class 1 below it.
+    The all-zero instance has the n conflict sets {x<k>, y}, no literal
+    it cannot drop alone, and two PI-explanations: {y} and {x1 ... x<n>}."""
+    names = [f"x{k + 1}" for k in range(n)] + ["y"]
+    space = FeatureSpace.from_pairs((name, ("0", "1")) for name in names)
+    nodes = {"none": Leaf(0)}
+    for k in range(n):
+        nxt = f"c{k + 1}" if k + 1 < n else "none"
+        edges = (Edge(frozenset({0}), nxt), Edge(frozenset({1}), f"y{k}"))
+        nodes[f"c{k}"] = Split(k, edges)
+        y_edges = (Edge(frozenset({0}), f"miss{k}"), Edge(frozenset({1}), f"hit{k}"))
+        nodes[f"y{k}"] = Split(n, y_edges)
+        nodes[f"miss{k}"] = Leaf(0)
+        nodes[f"hit{k}"] = Leaf(1)
     return DecisionTree(space, ("0", "1"), "c0", nodes)

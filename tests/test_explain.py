@@ -15,6 +15,7 @@ from conftest import (
     load_tree,
     or_chain_tree,
     oversized_trees,
+    path_steps,
 )
 
 from dtexplain import (
@@ -82,6 +83,54 @@ def test_contrary_leaf_blocked_when_x2_free():
     assert _contrary_leaf(tree, l7, 1, allowed_masks(tree, kept)) == (False, 1)
     # from the root, P2 with x2 free still forces class 1
     assert entails(tree, kept, 1)
+
+
+def narrowing_lookup(tree, node, target, allowed):
+    """The lookup as a walk that narrows the masks on the way down from
+    ``node``, each stack entry carrying its own copy of them."""
+    examined, stack = 0, [(node, list(allowed))]
+    while stack:
+        node, masks = stack.pop()
+        examined += 1
+        f = tree._feature[node]
+        if f < 0:
+            if tree._class[node] != target:
+                return True, examined
+            continue
+        for child, mask in reversed(tree._children[node]):
+            if mask & masks[f]:
+                narrowed = masks[:]
+                narrowed[f] &= mask
+                stack.append((child, narrowed))
+    return False, examined
+
+
+def test_lookup_reads_what_a_narrowing_walk_writes():
+    """From any node, the lookup answers and counts as a walk that
+    narrows the masks from that node, started with each mask met with the
+    edges taken to the node: the mask itself when it lies inside them, a
+    feature's values on those edges when it is free.  It leaves the masks
+    as they were, on an early return too."""
+    rng = random.Random(8)
+    returns = set()
+    for tree in scan_battery():
+        full = tree._full
+        for node in range(tree.node_count):
+            reach = full[:]  # each feature's values on the edges from the root
+            for parent, child in path_steps(tree, node):
+                reach[tree._feature[parent]] &= dict(tree._children[parent])[child]
+            allowed = [
+                rng.choice((whole, values, values & rng.randrange(whole + 1)))
+                for whole, values in zip(full, reach)
+            ]
+            met = [a & r for a, r in zip(allowed, reach)]
+            for target in range(len(tree.classes)):
+                before = allowed[:]
+                got = _contrary_leaf(tree, node, target, allowed)
+                assert got == narrowing_lookup(tree, node, target, met)
+                assert allowed == before
+                returns.add(got[0])
+    assert returns == {False, True}
 
 
 # -- redundancy decision --------------------------------------------------------
@@ -288,12 +337,15 @@ def extract_path(tree, path):
 
 def assert_path_start_matches_root_start(tree):
     """Lookups started on the source's path drop exactly the features that
-    root-started lookups drop, and enter no more nodes."""
+    root-started lookups drop, and ``_greedy``'s enter no more nodes.
+    Extraction returns the same explanation; its core lookup is not
+    counted, since the root-started greedy makes none."""
     for path in tree.paths:
-        order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
+        order = dict.fromkeys(tree._feature[n] for n, _ in path_steps(tree, path.leaf))
         want, most = root_start_greedy(tree, path.literals, order, path.prediction)
-        found, entered = extract_path(tree, path)
-        assert found.literals == want
+        src = _source(tree, path, PATH_RESTRICTED)
+        found, entered = _greedy(tree, src, order, _scan(tree, src))
+        assert found == want == extract_path(tree, path)[0].literals
         assert entered <= most
     rng = random.Random(30)
     for _ in range(30):
@@ -326,8 +378,7 @@ def test_path_start_lookups_match_root_start_on_random_trees():
 
 def unpruned_greedy(tree, literals, order, target, leaf):
     """The greedy extraction with lookups started on the source's path, as
-    ``_greedy`` starts them, but every lookup made and none told which
-    feature it frees, so no subtree is skipped."""
+    ``_greedy`` starts them, but every lookup made."""
     chain = [leaf]
     while (node := tree._parent[chain[-1]]) >= 0:
         chain.append(node)
@@ -351,10 +402,11 @@ def unpruned_greedy(tree, literals, order, target, leaf):
 
 
 def assert_pruning_matches_unpruned(tree):
-    """Skipping the subtrees that hold no reachable contrary leaf drops the
-    same features and enters no more nodes."""
+    """Skipping the lookups that cannot find a contrary leaf (the first
+    drop, and a feature not tested below the start) drops the same
+    features and enters no more nodes."""
     for path in tree.paths:
-        order = dict.fromkeys(tree._feature[node] for node, _ in path.steps())
+        order = dict.fromkeys(tree._feature[n] for n, _ in path_steps(tree, path.leaf))
         want, most = unpruned_greedy(
             tree, path.literals, order, path.prediction, path.leaf
         )

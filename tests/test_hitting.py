@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_NAMES,
+    comb_tree,
     literal_names,
     load_tree,
     or_chain_tree,
@@ -437,3 +438,41 @@ def test_deep_chain_core_leaves_the_family_search_no_member():
     assert core == (1 << depth) - 1
     family, _ = _contrary_family(tree, q1.literals, q1.prediction, core)
     assert family == []
+
+
+def comb_explanations(n):
+    """The all-zero instance of ``comb_tree(n)``: its literals, its scan's
+    core, its family and its unrestricted enumeration."""
+    tree = comb_tree(n)
+    zero = (0,) * (n + 1)
+    src = _source(tree, zero, PATH_UNRESTRICTED)
+    family, entered = _contrary_family(tree, src.literals, src.target)
+    found = enumerate_pi_explanations(tree, zero, PATH_UNRESTRICTED)
+    return tree, src.literals, _scan(tree, src).core, family, entered, found
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_comb_family_without_a_core_matches_the_oracle(n):
+    tree, literals, core, family, _, found = comb_explanations(n)
+    assert core == 0
+    assert len(family) == n
+    truth = BruteForceOracle(tree).enumerate_pi(literals, 0)
+    assert {e.literals for e in found} == {e.literals for e in truth}
+    assert {e.literals for e in found} == {
+        frozenset({literals[n]}),
+        frozenset(literals[:n]),
+    }
+
+
+def test_comb_family_shape_at_500():
+    """The n members {x<k>, y}, found by a search that enters each test
+    and each class-1 leaf once and no class-0 leaf."""
+    n = 500
+    tree, literals, core, family, entered, found = comb_explanations(n)
+    assert core == 0
+    assert sorted(family) == sorted(1 << k | 1 << n for k in range(n))
+    assert entered == 3 * n
+    assert [e.literals for e in found] == [
+        frozenset({literals[n]}),
+        frozenset(literals[:n]),
+    ]

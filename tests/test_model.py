@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURE_NAMES, fixture_path, literal_names, load_tree
+from conftest import (
+    FIXTURE_NAMES,
+    fixture_path,
+    literal_names,
+    load_tree,
+    path_steps,
+)
 
 import dtexplain
 from dtexplain import (
@@ -634,7 +640,7 @@ def test_repeated_feature_aggregates_by_intersection():
     # both tests of x1, deepest first; the deeper one is entered with x1
     # already narrowed to {a, b} (mask 0b11), the shallower with no mask
     ids, above = tree._ids, tree._above
-    steps = [(ids[n], ids[c], above[n]) for n, c in p1.steps()]
+    steps = [(ids[n], ids[c], above[n]) for n, c in path_steps(tree, p1.leaf)]
     assert steps == [("n1", "t2", 0b11), ("n0", "n1", 0)]
     assert [tree.nodes[n].feature for n, _, _ in steps] == [0, 0]
     q1 = tree.path("Q1")
@@ -706,7 +712,7 @@ def test_literal_mask_is_its_allowed_set(name):
     tree = load_tree(name)
     for path in tree.paths:
         expected = {}
-        for node, child in path.steps():
+        for node, child in path_steps(tree, path.leaf):
             split = tree.nodes[tree._ids[node]]
             (values,) = [
                 e.values for e in split.edges if e.child == tree._ids[child]
