@@ -6,14 +6,15 @@ becoming reachable; the remaining literals then still entail the
 prediction, so the path's literal set strictly contains a PI-explanation.
 
 Every question here is answered by one lookup kernel,
-:func:`_contrary_leaf`: an explicit-stack depth-first search, on the
-tree's lowered form (integer node numbers, see
+:func:`_contrary_leaf`: a depth-first search, on the tree's lowered
+form (integer node numbers in preorder, see
 :class:`~dtexplain.model.DecisionTree`), for a leaf of another class that
 a point can reach whose features take values in one int mask per feature
-(a universal feature holds its whole domain's mask).  It only reads the
-masks: at a node that re-tests a feature, it meets that feature's mask
-with the values the edges from the root let reach the node
-(``DecisionTree._above``).  Being iterative, it is not limited by the
+(a universal feature holds its whole domain's mask).  It scans the
+subtree's range of node numbers with no stack, jumping past each subtree
+whose edge (``DecisionTree._edge``, met with the values the edges from
+the root let reach its parent) misses the mask of the parent's feature.
+It only reads the masks, and being iterative, it is not limited by the
 interpreter's recursion depth.
 
 Each question starts from a source: a path's literals, or an
@@ -110,34 +111,36 @@ def _contrary_leaf(
     first contrary leaf.  Also returns the number of nodes entered, leaves
     included.
 
-    ``allowed`` is only read: at a node that re-tests a feature, the
-    feature's mask is met with ``tree._above``, the values that the edges
-    from the root let reach that node.  The answer is therefore that of a
-    search that narrows the masks on the way down from ``node``, started
-    with each mask met with the edges taken to ``node``.  Each caller's
-    masks lie inside those edges, or leave free a feature not tested
-    above ``node``: ``entails`` starts at the root, and extraction on the
-    source's path above the shallowest test of every feature it frees.
-    The scan alone starts just below a test of the feature it frees, which
-    the meet then limits to the edge taken there.
+    The search scans the subtree's preorder range ``[node, _end[node])``
+    with no stack: after entering node ``i`` it steps to ``i + 1``, and
+    it jumps from a node ``j`` to ``_end[j]``, past ``j``'s subtree, when
+    ``_edge[j]``, the values on the edge into ``j`` that reach it, misses
+    the parent's feature's mask.  ``allowed`` is only read, and since
+    ``_edge`` is met with the values the edges from the root let reach
+    the parent, the answer is that of a search that narrows the masks on
+    the way down from ``node``, started with each mask met with the edges
+    taken to ``node``.  Each caller's masks lie inside those edges, or
+    leave free a feature not tested above ``node``: ``entails`` starts at
+    the root, and extraction on the source's path above the shallowest
+    test of every feature it frees.  The scan alone starts just below a
+    test of the feature it frees, which ``_edge`` then limits to the edge
+    taken there.
     """
     feature_of, leaf_class = tree._feature, tree._class
-    children, above = tree._children, tree._above
+    parent, edge, end = tree._parent, tree._edge, tree._end
     examined = 0
-    stack = [node]
-    while stack:
-        node = stack.pop()
+    last = end[node]
+    while True:
         examined += 1
-        f = feature_of[node]
-        if f < 0:
-            if leaf_class[node] != target:
-                return True, examined
-            continue
-        values = allowed[f] & (above[node] or -1)
-        for child, mask in reversed(children[node]):
-            if mask & values:
-                stack.append(child)
-    return False, examined
+        if feature_of[node] < 0 and leaf_class[node] != target:
+            return True, examined
+        node += 1
+        while node < last:
+            if edge[node] & allowed[feature_of[parent[node]]]:
+                break
+            node = end[node]  # past the subtree of an edge the mask misses
+        else:
+            return False, examined
 
 
 def _allowed(tree: DecisionTree, literals: Iterable[Literal]) -> list[int]:
@@ -225,7 +228,7 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
     pinned, so an off-path leaf is counted without a lookup.  The counts
     and answers are those of one lookup from the node.
     """
-    parent, feature_of, children = tree._parent, tree._feature, tree._children
+    parent, feature_of, end = tree._parent, tree._feature, tree._end
     above_of, full, target = tree._above, tree._full, src.target
     classes, alone = tree._classes, 1 << target
     first, first_count, first_tested, other_count, other_tested = tree._preorder
@@ -249,20 +252,21 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
             narrowed |= 1 << f
             allowed[f] = full[f]  # a lookup meets it with the edge it took
             found, examined = False, 1
-            for other, _ in children[node]:
-                if other == child:
-                    continue
-                if first[other] != target:
-                    found, count = True, first_count[other]
-                    tested = first_tested[other]
-                else:
-                    found, count = classes[other] != alone, other_count[other]
-                    tested = other_tested[other]
-                if tested & pinned:
-                    found, count = _contrary_leaf(tree, other, target, allowed)
-                examined += count
-                if found:
-                    break
+            other, last = node + 1, end[node]
+            while other < last:
+                if other != child:
+                    if first[other] != target:
+                        found, count = True, first_count[other]
+                        tested = first_tested[other]
+                    else:
+                        found, count = classes[other] != alone, other_count[other]
+                        tested = other_tested[other]
+                    if tested & pinned:
+                        found, count = _contrary_leaf(tree, other, target, allowed)
+                    examined += count
+                    if found:
+                        break
+                other = end[other]
             allowed[f] = kept
             visits += examined
             if found:

@@ -11,15 +11,15 @@ Whatever hits a member hits its supersets, so only the distinct
 inclusion-minimal members matter: in path-unrestricted mode, the
 instance's contrastive explanations (Ignatiev et al., NeurIPS 2019).
 The source's scan first finds its core, the candidates whose singletons
-are members.  One explicit-stack search from the root over the tree's
-lowered form, :func:`_contrary_family`, finds the other minimal members:
-it carries the conflict set down as an int bitmask over the candidates,
-takes no edge that sets a core bit, and skips every subtree whose mask
-already contains a member it found, or whose leaves all have the
-predicted class.  A candidate's values left at a node are its literal's
-mask met with ``DecisionTree._above``, the values the edges from the
-root let reach the node, so the search writes no per-feature state;
-features outside the candidates are free.  Berge's incremental loop,
+are members.  One search from the root over the tree's lowered form,
+:func:`_contrary_family`, finds the other minimal members: it scans the
+node numbers in preorder, carries the conflict set down as an int
+bitmask over the candidates, takes no edge that sets a core bit, and
+jumps past every subtree whose mask already contains a member it found,
+or whose leaves all have the predicted class.  An edge sets a
+candidate's bit when its values that reach it (``DecisionTree._edge``)
+miss the candidate's literal mask, so the search writes no per-feature
+state; features outside the candidates are free.  Berge's incremental loop,
 :func:`_minimal_hitting_masks`, then enumerates the minimal hitting sets
 of those members as they are, with no separate minimisation of the
 family, and each PI-explanation is the core plus one of them.
@@ -118,12 +118,14 @@ def _contrary_family(
 
     A depth-first search from the root, edges in declaration order,
     carries the mask of candidates that the edges on the way down leave
-    no value of.  At a node testing a candidate's feature whose bit is
-    clear, the values left are its literal's mask met with
-    ``tree._above``; an edge outside them sets the bit.  Masks only grow
-    downwards, so a subtree whose mask already contains a member is
-    skipped, and so is one whose leaves all predict ``target``.  Each node
-    is entered at most once.
+    no value of.  It scans the tree's preorder range with no stack: a
+    node's mask is its parent's, kept for each split entered, with the
+    bit of the parent's feature set when that feature is a candidate
+    whose literal mask ``_edge`` misses (the edge's values that reach the
+    node).  From a node it does not enter it jumps to ``_end``, past the
+    node's subtree.  Masks only grow downwards, so a subtree whose mask
+    already contains a member is skipped, and so is one whose leaves all
+    predict ``target``.  Each node is entered at most once.
 
     ``core`` masks candidates whose singletons are known members; they are
     left out, and so is every edge that leaves one of them no value.
@@ -133,13 +135,25 @@ def _contrary_family(
     for i, lit in enumerate(universe):
         bit_of[lit.feature] = 1 << i
         values_of[lit.feature] = lit.mask
-    feature_of, leaf_class, children = tree._feature, tree._class, tree._children
-    above, classes, other = tree._above, tree._classes, ~(1 << target)
+    feature_of, leaf_class, parent = tree._feature, tree._class, tree._parent
+    edge, end, classes, other = tree._edge, tree._end, tree._classes, ~(1 << target)
+    if feature_of[0] < 0 and leaf_class[0] != target:
+        raise _no_conflict(tree._leaf_path[0].path_id)
     family: list[int] = []
-    entered = 0
-    stack = [(0, 0)]  # (node, conflict mask on entry)
-    while stack:
-        node, mask = stack.pop()
+    conflict = {0: 0}  # the mask of each split entered
+    entered, node, last = 1, 1, len(feature_of)
+    while node < last:
+        if not classes[node] & other:
+            node = end[node]
+            continue
+        up = parent[node]
+        mask, f = conflict[up], feature_of[up]
+        bit = bit_of[f]
+        if bit and not mask & bit and not edge[node] & values_of[f]:
+            if bit & core:
+                node = end[node]
+                continue
+            mask |= bit
         if mask:  # skip if the mask contains a member; faster than any()
             for member in family:
                 if member & mask == member:
@@ -147,30 +161,17 @@ def _contrary_family(
             else:
                 member = 0
             if member:
+                node = end[node]
                 continue
         entered += 1
-        f = feature_of[node]
-        if f < 0:
-            if leaf_class[node] != target:
-                if not mask:
-                    raise _no_conflict(tree._leaf_path[node].path_id)
-                family = [m for m in family if m & mask != mask]
-                family.append(mask)
-            continue
-        bit = bit_of[f]
-        if not bit or mask & bit:
-            for child, _ in reversed(children[node]):
-                if classes[child] & other:
-                    stack.append((child, mask))
-            continue
-        values = values_of[f] & (above[node] or -1)
-        for child, edge in reversed(children[node]):
-            if not classes[child] & other:
-                continue
-            if edge & values:
-                stack.append((child, mask))
-            elif not bit & core:
-                stack.append((child, mask | bit))
+        if feature_of[node] >= 0:
+            conflict[node] = mask
+        elif leaf_class[node] != target:
+            if not mask:
+                raise _no_conflict(tree._leaf_path[node].path_id)
+            family = [m for m in family if m & mask != mask]
+            family.append(mask)
+        node += 1
     return family, entered
 
 

@@ -379,9 +379,9 @@ class TreePath:
     ``literals`` holds one aggregated literal per tested feature, in order
     of first test; paths below a common node share their ``Literal``
     objects.  ``leaf`` is the leaf's node number in the tree's lowered
-    form and ``depth`` counts the internal nodes on the path.  The nodes
-    themselves are not stored: the tree's parent list leads back from
-    ``leaf``.
+    form, where nodes are numbered in preorder, and ``depth`` counts the
+    internal nodes on the path.  The nodes themselves are not stored: the
+    tree's parent list leads back from ``leaf``.
     """
 
     tree: "DecisionTree" = field(repr=False)
@@ -523,31 +523,50 @@ class DecisionTree:
         feature's literal narrowed, so paths below a node share them.  An
         edge narrowed to no value is not entered.
 
-        The same pass lowers the tree to lists indexed by node number (root
-        0, children numbered when their parent is reached): ``_ids``,
-        ``_feature`` (-1 at a leaf), a leaf's ``_class`` and ``_leaf_path``,
-        ``_children`` (``(child, value mask)`` per edge), ``_parent`` (-1 at
-        the root) and ``_above`` (a re-tested feature's mask on entry, else
-        0).  A value mask has bit ``v`` set for value index ``v``.  Two
-        subtree summaries follow: ``_below`` (bit ``f`` for each feature
-        tested at or below the node) and ``_classes`` (bit ``c`` for each
-        class of a leaf at or below it); :attr:`_preorder` adds five more,
-        built on first use."""
+        The same pass lowers the tree to lists indexed by node number.  A
+        node is numbered when the pass enters it, so the numbers follow
+        preorder and the subtree of node ``i`` is the range
+        ``[i, _end[i])``: its first child is ``i + 1`` and each next
+        sibling of a child ``j`` is ``_end[j]``.  The lists are ``_ids``,
+        ``_feature`` (-1 at a leaf), a leaf's ``_class`` and
+        ``_leaf_path``, ``_parent`` (-1 at the root), ``_end``, ``_edge``
+        (the value mask of the edge into the node, met with the values
+        that reach its parent on the parent's feature; -1 at the root) and
+        ``_above`` (a re-tested feature's mask on entry, else 0).  A value
+        mask has bit ``v`` set for value index ``v``.  Two subtree
+        summaries follow: ``_below`` (bit ``f`` for each feature tested at
+        or below the node) and ``_classes`` (bit ``c`` for each class of a
+        leaf at or below it); :attr:`_preorder` adds five more, built on
+        first use."""
         n = len(self.nodes)
-        ids = self._ids = [self.root]
+        ids = self._ids = []
         feature = self._feature = [-1] * n
         leaf_class = self._class = [-1] * n
-        children = self._children = [()] * n
         parent = self._parent = [-1] * n
+        edge_mask = self._edge = [-1] * n
         above = self._above = [0] * n
         leaf_path = self._leaf_path = [None] * n
+        # the index of each feature's literal in a path's literals, set
+        # where a path first tests the feature and kept through the subtree
+        # below; a stale index fails the check against the literal there
+        position = [0] * len(self.space)
         counters = [0] * len(self.classes)
         paths = []
         empty = None
-        stack: list[tuple] = [(0, (), 0)]
+        # (node id, parent number, edge mask, the parent's literals, depth):
+        # a node's literals are made when it is entered, so a child waiting
+        # on the stack holds no tuple of its own
+        stack: list[tuple] = [(self.root, -1, -1, (), 0)]
         while stack:
-            i, lits, depth = stack.pop()
-            node = self.nodes[ids[i]]
+            node_id, p, mask, lits, depth = stack.pop()
+            i = len(ids)
+            ids.append(node_id)
+            parent[i], edge_mask[i] = p, mask
+            if p >= 0:
+                f = feature[p]
+                k = position[f]  # the length when the parent tests f first
+                lits = lits[:k] + (Literal(f, mask),) + lits[k + 1 :]
+            node = self.nodes[node_id]
             if isinstance(node, Leaf):
                 c = leaf_class[i] = node.class_id
                 counters[c] += 1
@@ -556,36 +575,31 @@ class DecisionTree:
                 paths.append(leaf_path[i])
                 continue
             f = feature[i] = node.feature
-            feats = [lit.feature for lit in lits]
-            k = feats.index(f) if f in feats else None
-            above[i] = 0 if k is None else lits[k].mask
-            kids = []
+            k = position[f]
+            if k < len(lits) and lits[k].feature == f:
+                reach = above[i] = lits[k].mask
+            else:
+                reach, position[f] = -1, len(lits)
             # push in reverse so edges pop in declaration order
             for e in range(len(node.edges) - 1, -1, -1):
-                j, edge = len(ids), node.edges[e]
-                mask = _mask(edge.values)
-                ids.append(edge.child)
-                parent[j] = i
-                kids.append((j, mask))
-                if k is None:
-                    child_lits = lits + (Literal(f, mask),)
-                else:
-                    narrowed = lits[k].mask & mask
-                    if not narrowed:
-                        empty = empty or (ids[i], e, f)
-                        continue
-                    child_lits = lits[:k] + (Literal(f, narrowed),) + lits[k + 1 :]
-                stack.append((j, child_lits, depth + 1))
-            children[i] = tuple(reversed(kids))
-        # every numbered node was entered unless an edge was empty
+                edge = node.edges[e]
+                mask = _mask(edge.values) & reach
+                if not mask:
+                    empty = empty or (node_id, e, f)
+                    continue
+                stack.append((edge.child, i, mask, lits, depth + 1))
+        # every node was entered unless an edge was empty
         if empty is not None or len(ids) < n:
             self._reject_unreached(parents, empty)
-        # children are numbered after their parent: folding each node into
-        # its parent in reverse order fills both subtree summaries
+        # a parent is numbered before its children: folding each node into
+        # its parent in reverse order fills the ends and both summaries
+        end = self._end = list(range(1, n + 1))
         below = self._below = [1 << f if f >= 0 else 0 for f in feature]
         classes = self._classes = [1 << c if c >= 0 else 0 for c in leaf_class]
         for i in range(n - 1, 0, -1):
             p = parent[i]
+            if end[p] < end[i]:
+                end[p] = end[i]
             below[p] |= below[i]
             classes[p] |= classes[i]
         return tuple(paths)
@@ -601,21 +615,22 @@ class DecisionTree:
         up to the subtree's first leaf of another class.  They are built on
         the tree's first scan, so a tree that is only parsed or classified
         does not pay for them; a concurrent first use builds equal lists."""
-        children, classes = self._children, self._classes
-        n = len(children)
+        feature, end, classes = self._feature, self._end, self._classes
+        n = len(feature)
         first = self._class[:]
         first_count, other_count = [1] * n, [1] * n
-        first_tested = [1 << f if f >= 0 else 0 for f in self._feature]
+        first_tested = [1 << f if f >= 0 else 0 for f in feature]
         other_tested = first_tested[:]
         # children are numbered after their parent, so each is done first
         for node in range(n - 1, -1, -1):
-            if not children[node]:
+            if feature[node] < 0:
                 continue
-            head = children[node][0][0]
+            head = node + 1
             c = first[node] = first[head]
             first_count[node] += first_count[head]
             first_tested[node] |= first_tested[head]
-            for child, _ in children[node]:
+            child, last = head, end[node]
+            while child < last:
                 if first[child] != c:
                     other_count[node] += first_count[child]
                     other_tested[node] |= first_tested[child]
@@ -624,6 +639,7 @@ class DecisionTree:
                 other_tested[node] |= other_tested[child]
                 if classes[child] != 1 << c:
                     break
+                child = end[child]
         return first, first_count, first_tested, other_count, other_tested
 
     def _path_prefix(self, class_id: int) -> str:
@@ -673,14 +689,13 @@ class DecisionTree:
 def classify(tree: DecisionTree, instance: Instance) -> tuple[int, TreePath]:
     """Route an instance to its unique leaf; returns (class id, path)."""
     _check_point(tree.space, instance)
-    feature, children = tree._feature, tree._children
+    feature, edge, end = tree._feature, tree._edge, tree._end
     node = 0
     while (f := feature[node]) >= 0:
         bit = 1 << instance[f]
-        for child, values in children[node]:
-            if values & bit:
-                node = child
-                break
+        node += 1  # the first child; the next sibling of a child is its end
+        while not edge[node] & bit:
+            node = end[node]
     path = tree._leaf_path[node]
     return path.prediction, path
 

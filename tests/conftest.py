@@ -1,4 +1,5 @@
 import pathlib
+import weakref
 
 from dtexplain import (
     DecisionTree,
@@ -48,6 +49,22 @@ def path_steps(tree, end: int) -> list[tuple[int, int]]:
         steps.append((node, end))
         end = node
     return steps
+
+
+_NODE_NUMBERS = weakref.WeakKeyDictionary()
+
+
+def node_edges(tree, node: int) -> list[tuple[int, int]]:
+    """The edges out of node number ``node`` in declaration order, as
+    ``(child number, raw edge mask)``, read from ``tree.nodes`` and the
+    node ids rather than from the tree's lowered form; none at a leaf."""
+    numbers = _NODE_NUMBERS.get(tree)
+    if numbers is None:
+        numbers = _NODE_NUMBERS[tree] = {nid: i for i, nid in enumerate(tree._ids)}
+    split = tree.nodes[tree._ids[node]]
+    if isinstance(split, Leaf):
+        return []
+    return [(numbers[e.child], sum(1 << v for v in e.values)) for e in split.edges]
 
 
 def oversized_trees():

@@ -13,6 +13,7 @@ from conftest import (
     FIXTURE_NAMES,
     literal_names,
     load_tree,
+    node_edges,
     or_chain_tree,
     oversized_trees,
     path_steps,
@@ -97,7 +98,7 @@ def narrowing_lookup(tree, node, target, allowed):
             if tree._class[node] != target:
                 return True, examined
             continue
-        for child, mask in reversed(tree._children[node]):
+        for child, mask in reversed(node_edges(tree, node)):
             if mask & masks[f]:
                 narrowed = masks[:]
                 narrowed[f] &= mask
@@ -118,7 +119,7 @@ def test_lookup_reads_what_a_narrowing_walk_writes():
         for node in range(tree.node_count):
             reach = full[:]  # each feature's values on the edges from the root
             for parent, child in path_steps(tree, node):
-                reach[tree._feature[parent]] &= dict(tree._children[parent])[child]
+                reach[tree._feature[parent]] &= dict(node_edges(tree, parent))[child]
             allowed = [
                 rng.choice((whole, values, values & rng.randrange(whole + 1)))
                 for whole, values in zip(full, reach)
@@ -454,7 +455,7 @@ def one_lookup_per_node_scan(tree, src, stop):
         if core >> f & 1:
             visits += 1
         else:
-            taken = dict(tree._children[node])[child]
+            taken = dict(node_edges(tree, node))[child]
             kept, above = allowed[f], tree._above[node]
             allowed[f] = (above or tree._full[f]) & ~taken
             found, examined = _contrary_leaf(tree, node, src.target, allowed)
@@ -535,7 +536,7 @@ def preorder_summaries(tree, node):
         count += 1
         if tree._feature[node] >= 0:
             tested |= 1 << tree._feature[node]
-            stack.extend(child for child, _ in reversed(tree._children[node]))
+            stack.extend(child for child, _ in reversed(node_edges(tree, node)))
         elif first is None:
             first = (tree._class[node], count, tested)
         elif tree._class[node] != first[0]:

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIXTURE_NAMES,
+    comb_tree,
     fixture_path,
     literal_names,
     load_tree,
+    or_chain_tree,
     path_steps,
 )
 
@@ -428,18 +430,22 @@ def _grown_doc(rng, n_features, n_nodes):
 
 def test_parse_peak_stays_near_what_the_tree_retains():
     """``parse_tree`` frees each node's decoded JSON once it has read it,
-    so the document is gone before the tree is lowered, and parsing peaks
-    at no more than 1.6 times what the tree retains (about 2.4 times with
-    the whole document held)."""
+    so the document is gone before the tree is lowered: parsing peaks at
+    the decoded document's own size plus at most a fifth of what the tree
+    retains (plus about all of it with the whole document held)."""
     text = json.dumps(_grown_doc(random.Random(7), 40, 3000))
     tracemalloc.start()
     try:
+        doc = json.loads(text)
+        document = tracemalloc.get_traced_memory()[0]
+        del doc
+        tracemalloc.reset_peak()
         tree = parse_tree(text)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert tree.node_count == 3001
-    assert peak <= 1.6 * retained
+    assert peak <= document + retained / 5
 
 
 _SHAPES = {
@@ -670,6 +676,53 @@ def test_subtree_summaries_match_a_walk_of_the_node_dict(source):
                     todo.extend(edge.child for edge in node.edges)
             assert tree._below[i] == sum(1 << f for f in features)
             assert tree._classes[i] == sum(1 << c for c in classes)
+
+
+@pytest.mark.parametrize("source", ["fixtures", "random_tree(0..199)", "chains"])
+def test_node_layout_matches_a_preorder_walk_of_the_node_dict(source):
+    """Node numbers follow the preorder walk of ``tree.nodes`` from the
+    root, edges in declaration order; ``_end[i] - i`` is the size of node
+    ``i``'s subtree, ``_parent`` its parent, and ``_edge[i]`` the mask of
+    the edge into ``i`` met with the values that reach the parent on the
+    parent's feature (-1 at the root)."""
+    from dtexplain import Leaf, random_tree
+
+    if source == "fixtures":
+        trees = [load_tree(name) for name in FIXTURE_NAMES]
+    elif source == "chains":
+        trees = [or_chain_tree(d) for d in (1, 2, 40)] + [comb_tree(n) for n in (1, 30)]
+    else:
+        trees = [random_tree(seed) for seed in range(200)]
+    for tree in trees:
+        ids, parents, edges, sizes = [], [], [], {}
+        # (node id, parent number, edge mask met with the parent's reach,
+        # each feature's values on the edges from the root)
+        todo = [(tree.root, -1, -1, tree._full)]
+        while todo:
+            node_id, parent, edge, reach = todo.pop()
+            i = len(ids)
+            ids.append(node_id)
+            parents.append(parent)
+            edges.append(edge)
+            node = tree.nodes[node_id]
+            sizes[node_id] = 1
+            if isinstance(node, Leaf):
+                continue
+            f = node.feature
+            for e in reversed(node.edges):
+                mask = sum(1 << v for v in e.values) & reach[f]
+                below = reach[:f] + [mask] + reach[f + 1 :]
+                todo.append((e.child, i, mask, below))
+        for node_id in reversed(ids):
+            node = tree.nodes[node_id]
+            if not isinstance(node, Leaf):
+                sizes[node_id] += sum(sizes[e.child] for e in node.edges)
+        assert tree._ids == ids
+        assert tree._parent == parents
+        assert tree._edge == edges
+        assert [end - i for i, end in enumerate(tree._end)] == [
+            sizes[node_id] for node_id in ids
+        ]
 
 
 def test_constant_tree_single_empty_path():
