@@ -169,6 +169,8 @@ def _sources(
         points = read_instances_csv(tree.space, rows)
         if not points:
             raise InstanceError(f"{rows}: no instance rows")
+    elif "path" in flags:  # explain, enumerate
+        raise UsageError("a source is required (--path, --instance or --instances)")
     else:
         raise UsageError("an instance source is required (--instance or --instances)")
     single = instance is not None

@@ -219,14 +219,15 @@ def _scan(tree: DecisionTree, src: _Source, stop: bool = False) -> _Scan:
     found is the redundancy witness, where ``stop`` ends the walk.
 
     Each subtree ``S`` is searched by :func:`_contrary_leaf` from ``S``,
-    unless its preorder summaries (:attr:`DecisionTree._preorder`) answer
-    for it: every edge of the tree is reachable, so the lookup would walk
-    ``S`` in plain preorder up to its first contrary leaf unless that walk
-    tests a *pinned* feature, one the literals narrow below what reaches
-    the node: for a path, one it tests below the node; for an instance,
-    whose single values are taken to pin them all, any.  ``f`` is never
-    pinned, so an off-path leaf is counted without a lookup.  The counts
-    and answers are those of one lookup from the node.
+    unless its preorder summaries (``DecisionTree._preorder``, made with
+    the tree) answer for it: every edge of the tree is reachable, so the
+    lookup would walk ``S`` in plain preorder up to its first contrary
+    leaf unless that walk tests a *pinned* feature, one the literals
+    narrow below what reaches the node: for a path, one it tests below
+    the node; for an instance, whose single values are taken to pin them
+    all, any.  ``f`` is never pinned, so an off-path leaf is counted
+    without a lookup.  The counts and answers are those of one lookup
+    from the node.
     """
     parent, feature_of, end = tree._parent, tree._feature, tree._end
     above_of, full, target = tree._above, tree._full, src.target

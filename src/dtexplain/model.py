@@ -244,17 +244,20 @@ def parse_instance_json(space: FeatureSpace, text: str) -> Instance:
 
 
 def read_instances_csv(space: FeatureSpace, path: str) -> list[Instance]:
-    """Read instances from a CSV file whose header names the features."""
+    """Read instances from a CSV file whose header names the features.
+    Blank lines are skipped, and so is a leading byte order mark."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        # not "utf-8-sig": its error offsets would not count the mark
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise InstanceError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
     reader = csv.reader(io.StringIO(text, newline=""))
+    filled = (row for row in reader if row)  # a blank line reads as []
     try:
-        header = next(reader, None)
+        header = next(filled, None)
         if header is None:
             raise InstanceError(f"{path}: empty CSV file")
         expected = [f.name for f in space.features]
@@ -264,9 +267,11 @@ def read_instances_csv(space: FeatureSpace, path: str) -> list[Instance]:
             )
         order = [header.index(name) for name in expected]
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in filled:
             if len(row) != len(header):
-                raise InstanceError(f"{path}:{lineno}: wrong number of columns")
+                raise InstanceError(
+                    f"{path}:{reader.line_num}: wrong number of columns"
+                )
             rows.append(make_instance(space, [row[i] for i in order]))
     except csv.Error as exc:
         raise InstanceError(f"{path}:{reader.line_num}: {exc}") from None
@@ -529,15 +534,23 @@ class DecisionTree:
         ``[i, _end[i])``: its first child is ``i + 1`` and each next
         sibling of a child ``j`` is ``_end[j]``.  The lists are ``_ids``,
         ``_feature`` (-1 at a leaf), a leaf's ``_class`` and
-        ``_leaf_path``, ``_parent`` (-1 at the root), ``_end``, ``_edge``
-        (the value mask of the edge into the node, met with the values
-        that reach its parent on the parent's feature; -1 at the root) and
-        ``_above`` (a re-tested feature's mask on entry, else 0).  A value
-        mask has bit ``v`` set for value index ``v``.  Two subtree
-        summaries follow: ``_below`` (bit ``f`` for each feature tested at
-        or below the node) and ``_classes`` (bit ``c`` for each class of a
-        leaf at or below it); :attr:`_preorder` adds five more, built on
-        first use."""
+        ``_leaf_path``, ``_parent`` (-1 at the root), ``_edge`` (the value
+        mask of the edge into the node, met with the values that reach its
+        parent on the parent's feature; -1 at the root) and ``_above`` (a
+        re-tested feature's mask on entry, else 0).  A value mask has bit
+        ``v`` set for value index ``v``.
+
+        One reverse pass over the numbers then folds each node's children
+        into it, filling ``_end`` and seven subtree summaries: ``_below``
+        (bit ``f`` for each feature tested at or below the node),
+        ``_classes`` (bit ``c`` for each class of a leaf at or below it)
+        and the five ``_preorder`` lists, which summarise the subtree's
+        preorder walk, edges in declaration order: the class of its first
+        leaf; the number of nodes the walk enters up to that leaf
+        (inclusive) and the features they test, as a bit mask; and the
+        same two up to the first leaf of another class (over the whole
+        subtree when there is none).  Together they tell, for any target
+        class, where the walk meets its first contrary leaf."""
         n = len(self.nodes)
         ids = self._ids = []
         feature = self._feature = [-1] * n
@@ -591,56 +604,38 @@ class DecisionTree:
         # every node was entered unless an edge was empty
         if empty is not None or len(ids) < n:
             self._reject_unreached(parents, empty)
-        # a parent is numbered before its children: folding each node into
-        # its parent in reverse order fills the ends and both summaries
+        # node i's children are i + 1 and each next child's end whose parent
+        # is i; numbered after i, they are done first in reverse order
         end = self._end = list(range(1, n + 1))
         below = self._below = [1 << f if f >= 0 else 0 for f in feature]
         classes = self._classes = [1 << c if c >= 0 else 0 for c in leaf_class]
-        for i in range(n - 1, 0, -1):
-            p = parent[i]
-            if end[p] < end[i]:
-                end[p] = end[i]
-            below[p] |= below[i]
-            classes[p] |= classes[i]
-        return tuple(paths)
-
-    @functools.cached_property
-    def _preorder(self) -> tuple[list[int], ...]:
-        """Five lists by node number that summarise each subtree's preorder
-        walk, edges in declaration order: the class of its first leaf; the
-        number of nodes the walk enters up to that leaf (inclusive) and the
-        features those nodes test, as a bit mask; and the same two up to
-        the first leaf of any other class, over the whole subtree when
-        there is none.  Together they give, for any target class, the walk
-        up to the subtree's first leaf of another class.  They are built on
-        the tree's first scan, so a tree that is only parsed or classified
-        does not pay for them; a concurrent first use builds equal lists."""
-        feature, end, classes = self._feature, self._end, self._classes
-        n = len(feature)
-        first = self._class[:]
+        first = leaf_class[:]
         first_count, other_count = [1] * n, [1] * n
-        first_tested = [1 << f if f >= 0 else 0 for f in feature]
-        other_tested = first_tested[:]
-        # children are numbered after their parent, so each is done first
-        for node in range(n - 1, -1, -1):
-            if feature[node] < 0:
+        first_tested, other_tested = below[:], below[:]
+        for i in range(n - 1, -1, -1):
+            if feature[i] < 0:
                 continue
-            head = node + 1
-            c = first[node] = first[head]
-            first_count[node] += first_count[head]
-            first_tested[node] |= first_tested[head]
-            child, last = head, end[node]
-            while child < last:
-                if first[child] != c:
-                    other_count[node] += first_count[child]
-                    other_tested[node] |= first_tested[child]
-                    break
-                other_count[node] += other_count[child]
-                other_tested[node] |= other_tested[child]
-                if classes[child] != 1 << c:
-                    break
+            child = i + 1
+            c = first[i] = first[child]
+            first_count[i] += first_count[child]
+            first_tested[i] |= first_tested[child]
+            walking = True  # on to the first leaf not of class c
+            while child < n and parent[child] == i:
+                below[i] |= below[child]
+                classes[i] |= classes[child]
+                if walking:
+                    if first[child] != c:  # the walk ends at its first leaf
+                        other_count[i] += first_count[child]
+                        other_tested[i] |= first_tested[child]
+                        walking = False
+                    else:
+                        other_count[i] += other_count[child]
+                        other_tested[i] |= other_tested[child]
+                        walking = classes[child] == 1 << c
                 child = end[child]
-        return first, first_count, first_tested, other_count, other_tested
+            end[i] = child
+        self._preorder = first, first_count, first_tested, other_count, other_tested
+        return tuple(paths)
 
     def _path_prefix(self, class_id: int) -> str:
         """Paths of the second class are P1.., the first class Q1.. (the

@@ -63,6 +63,17 @@ def test_classify_csv_batch(capsys, tmp_path):
     assert [r["class"] for r in payload] == ["1", "1"]
 
 
+def test_explain_instances_skips_blank_lines_and_a_byte_order_mark(capsys, tmp_path):
+    rows = tmp_path / "rows.csv"
+    rows.write_bytes(b"\xef\xbb\xbfx1,x2\r\n\r\n0,1\r\n\r\n1,0\r\n\r\n")
+    code, out, err = invoke(
+        capsys, "explain", "-t", fixture_path("or_tree"),
+        "--instances", str(rows), "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{"x2": "1"}, {"x1": "1"}]
+
+
 # -- redundancy -------------------------------------------------------------------
 
 
@@ -289,6 +300,21 @@ def test_unknown_flag_is_usage_error(capsys):
     code, _, err = invoke(capsys, "classify", "--bogus")
     assert code == 1
     assert "usage" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("classify", "--instance or --instances"),
+        ("explain", "--path, --instance or --instances"),
+        ("enumerate", "--path, --instance or --instances"),
+    ],
+)
+def test_missing_source_message_names_the_command_flags(capsys, command, flags):
+    code, out, err = invoke(capsys, command, "-t", fixture_path("or_tree"))
+    assert (code, out) == (1, "")
+    assert err.startswith("dtexplain: usage error: ")
+    assert err.splitlines()[0].endswith(f"source is required ({flags})")
 
 
 def test_missing_subcommand(capsys):

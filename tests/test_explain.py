@@ -11,6 +11,7 @@ import pytest
 import dtexplain.explain
 from conftest import (
     FIXTURE_NAMES,
+    comb_tree,
     literal_names,
     load_tree,
     node_edges,
@@ -474,7 +475,8 @@ def one_lookup_per_node_scan(tree, src, stop):
 
 
 def scan_battery():
-    """Every fixture, small and wider random trees and OR-chains."""
+    """Every fixture, small and wider random trees, OR-chains and combs,
+    whose subtrees below the root hold leaves of both classes."""
     yield from (load_tree(name) for name in FIXTURE_NAMES)
     yield from (random_tree(seed) for seed in range(300))
     yield from (
@@ -482,6 +484,7 @@ def scan_battery():
         for seed in range(200)
     )
     yield from (or_chain_tree(d) for d in (1, 2, 5, 40))
+    yield from (comb_tree(n) for n in (1, 30))
 
 
 def count_lookups(monkeypatch) -> list:

@@ -725,6 +725,42 @@ def test_node_layout_matches_a_preorder_walk_of_the_node_dict(source):
         ]
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_every_operation_reads_a_finished_tree(name):
+    """Every per-node list exists once the tree is built: classifying,
+    reporting, extracting, enumerating and checking add no attribute to
+    the tree, replace none and change no list's contents."""
+    from dtexplain import (
+        PATH_RESTRICTED,
+        check_tree,
+        entails,
+        one_pi_explanation_path,
+        tree_report,
+    )
+
+    def contents(attrs):
+        """Copies of the list attributes and of the lists in ``_preorder``."""
+        lists = [value for value in attrs.values() if isinstance(value, list)]
+        return [value[:] for value in lists + list(attrs.get("_preorder", ()))]
+
+    tree = load_tree(name)
+    before = dict(vars(tree))
+    copies = contents(before)
+    point = next(tree.space.points())
+    path = classify(tree, point)[1]
+    tree_report(tree)
+    one_pi_explanation_path(tree, path)
+    one_pi_explanation_instance(tree, point)
+    enumerate_pi_explanations(tree, path, PATH_RESTRICTED)
+    enumerate_pi_explanations(tree, point, PATH_UNRESTRICTED)
+    entails(tree, path.literals, path.prediction)
+    check_tree(tree, random.Random(0), n_instances=5)
+    after = vars(tree)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert contents(after) == copies
+
+
 def test_constant_tree_single_empty_path():
     tree = load_tree("constant")
     assert len(tree.paths) == 1
@@ -961,6 +997,29 @@ def test_read_instances_csv(tmp_path):
     bad.write_text("x1,w\n0,1\n", encoding="utf-8")
     with pytest.raises(InstanceError):
         read_instances_csv(tree.space, str(bad))
+
+
+def test_read_instances_csv_skips_blank_lines_and_a_byte_order_mark(tmp_path):
+    tree = load_tree("or_tree")
+    csv_file = tmp_path / "rows.csv"
+    csv_file.write_text("\ufeffx2,x1\n\n1,0\r\n\n0,1\n\n", encoding="utf-8")
+    assert read_instances_csv(tree.space, str(csv_file)) == [(0, 1), (1, 0)]
+    csv_file.write_bytes(b"\xef\xbb\xbf\nx1,x2\n\n0,1\n")
+    assert read_instances_csv(tree.space, str(csv_file)) == [(0, 1)]
+
+
+def test_read_instances_csv_counts_blank_lines_in_error_lines(tmp_path):
+    tree = load_tree("or_tree")
+    csv_file = tmp_path / "rows.csv"
+    csv_file.write_text("x1,x2\n\n0,1\n\n\n1\n", encoding="utf-8")
+    with pytest.raises(InstanceError, match=r"rows\.csv:6: wrong number of columns"):
+        read_instances_csv(tree.space, str(csv_file))
+    csv_file.write_bytes(b"\xef\xbb\xbfx1,x2\n\n0,1\n\xff\n")
+    with pytest.raises(InstanceError, match=r"rows\.csv:4: not UTF-8"):
+        read_instances_csv(tree.space, str(csv_file))
+    csv_file.write_text("\n\n", encoding="utf-8")
+    with pytest.raises(InstanceError, match="empty CSV file"):
+        read_instances_csv(tree.space, str(csv_file))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
