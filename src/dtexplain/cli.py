@@ -4,8 +4,9 @@ Subcommands: ``classify``, ``redundancy``, ``explain``, ``enumerate``,
 ``stats`` and ``selftest``.  Results go to stdout, diagnostics to stderr,
 and output is byte-identical across runs for identical inputs.  With
 ``--format json``, ``-i`` and ``--path`` print one entry; ``--instances``
-and ``--all`` print a list, even of one row.  ``--verify`` checks each
-answer with the :mod:`~dtexplain.selfcheck` checker of its kind, as
+and ``--all`` print a list, even of one row.  Each per-source command
+resolves, answers and verifies its sources in one loop, :func:`_answers`;
+``--verify`` runs each answer's :mod:`~dtexplain.selfcheck` checker, as
 :func:`check_tree` does, and makes no check of its own.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 oracle
@@ -23,7 +24,6 @@ from .explain import (
     PATH_RESTRICTED,
     PATH_UNRESTRICTED,
     Explanation,
-    is_path_redundant,
     _extract,
     _scan,
     _source,
@@ -191,22 +191,36 @@ def _print(args, single: bool, results: list, entry, lines) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    tree = parse_tree_file(args.tree)
+def _answers(tree: DecisionTree, args, answer, check) -> tuple[list, bool]:
+    """Resolve each source the flags name and ``answer`` it; under
+    --verify, check an instance source's classification and ``check`` the
+    answer.  Also returns whether the flags name a single source."""
     sources, single = _sources(tree, args)
     oracle = BruteForceOracle(tree) if args.verify else None
-    rows = []
-    for _, _, point in sources:
-        class_id, path = classify(tree, point)
+    results = []
+    for mode, source, point in sources:
+        src = _source(tree, source, mode)
+        result = answer(src)
         if oracle is not None:
-            check_classification(oracle, point, class_id, path)
-        rows.append(
-            {
-                "class": tree.classes[class_id],
-                "path": path.path_id,
-                "literals": Explanation(path.literal_set(), class_id).as_value_map(tree),
-            }
-        )
+            if point is not None:
+                check_classification(oracle, point, src.target, src.path)
+            check(oracle, src, result)
+        results.append(result)
+    return results, single
+
+
+def _cmd_classify(args) -> int:
+    tree = parse_tree_file(args.tree)
+
+    def row(src) -> dict:
+        literals = Explanation(src.path.literal_set(), src.target)
+        return {
+            "class": tree.classes[src.target],
+            "path": src.path.path_id,
+            "literals": literals.as_value_map(tree),
+        }
+
+    rows, single = _answers(tree, args, row, lambda *answered: None)
     return _print(
         args, single, rows, dict, lambda r: [f"class: {r['class']}  (path {r['path']})"]
     )
@@ -214,55 +228,38 @@ def _cmd_classify(args) -> int:
 
 def _cmd_redundancy(args) -> int:
     tree = parse_tree_file(args.tree)
-    sources, single = _sources(tree, args)
-    oracle = BruteForceOracle(tree) if args.verify else None
-    rows = []
-    for _, path, _ in sources:
-        verdict = is_path_redundant(tree, path)
-        if oracle is not None:
-            check_redundancy(oracle, path, verdict, path.path_id)
-        feature = verdict.witness
-        witness = None if feature is None else tree.space.feature(feature).name
-        rows.append(
-            {
-                "path": path.path_id,
-                "class": path.class_name(),
-                "redundant": verdict.redundant,
-                "witness": witness,
-                "node_visits": verdict.node_visits,
-            }
-        )
 
-    def text(r) -> list[str]:
+    def row(answer) -> dict:
+        path, verdict = answer
+        feature = verdict.witness
+        return {
+            "path": path.path_id,
+            "class": path.class_name(),
+            "redundant": verdict.redundant,
+            "witness": None if feature is None else tree.space.feature(feature).name,
+            "node_visits": verdict.node_visits,
+        }
+
+    def text(answer) -> list[str]:
+        r = row(answer)
         if r["redundant"]:
             return [f"{r['path']}: redundant (witness: {r['witness']})"]
         return [f"{r['path']}: irredundant"]
 
-    return _print(args, single, rows, dict, text)
-
-
-def _answers(tree: DecisionTree, args, answer, check) -> tuple[list, bool]:
-    """Resolve and scan each source the flags name and ``answer`` it; under
-    --verify, check its classification and ``check`` the answer.  Also
-    returns whether the flags name a single source."""
-    sources, single = _sources(tree, args)
-    oracle = BruteForceOracle(tree) if args.verify else None
-    results = []
-    for mode, source, point in sources:
-        src = _source(tree, source, mode)
-        result = answer(src, _scan(tree, src))
-        if oracle is not None:
-            if point is not None:
-                check_classification(oracle, point, src.target, src.path)
-            check(oracle, src.literals, src.target, result)
-        results.append(result)
-    return results, single
+    answers, single = _answers(
+        tree, args,
+        lambda src: (src.path, _scan(tree, src, stop=True).verdict),
+        lambda oracle, src, answer: check_redundancy(oracle, *answer, src.path.path_id),
+    )
+    return _print(args, single, answers, row, text)
 
 
 def _cmd_explain(args) -> int:
     tree = parse_tree_file(args.tree)
     results, single = _answers(
-        tree, args, lambda src, scan: _extract(tree, src, scan)[0], check_extraction
+        tree, args,
+        lambda src: _extract(tree, src, _scan(tree, src))[0],
+        lambda oracle, src, e: check_extraction(oracle, src.literals, src.target, e),
     )
     return _print(
         args, single, results,
@@ -276,8 +273,10 @@ def _cmd_enumerate(args) -> int:
         raise UsageError("--limit must be non-negative")
     blocks, single = _answers(
         tree, args,
-        lambda src, scan: _enumerate(tree, src, scan, args.limit)[0],
-        lambda *known: check_enumeration(*known, args.limit),
+        lambda src: _enumerate(tree, src, _scan(tree, src), args.limit)[0],
+        lambda oracle, src, block: check_enumeration(
+            oracle, src.literals, src.target, block, args.limit
+        ),
     )
     return _print(
         args, single, blocks,

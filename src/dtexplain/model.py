@@ -230,14 +230,25 @@ def make_instance(space: FeatureSpace, values: Sequence) -> Instance:
     return point
 
 
+def _load_json(text: str, error: type[ValueError], what: str, located: bool):
+    """Decode a JSON document, raising ``error`` with an ``invalid {what}``
+    message for a syntax error (at its line and column, if ``located``),
+    nesting too deep for the decoder, or any other decoder ``ValueError``,
+    such as an integer over ``sys.get_int_max_str_digits()`` digits."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        at = f" at line {exc.lineno}, column {exc.colno}" if located else ""
+        raise error(f"invalid {what}{at}: {exc.msg}") from None
+    except RecursionError:
+        raise error(f"invalid {what}: nested too deeply") from None
+    except ValueError as exc:
+        raise error(f"invalid {what}: {exc}") from None
+
+
 def parse_instance_json(space: FeatureSpace, text: str) -> Instance:
     """Parse a JSON array of value strings in feature order."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid instance JSON: {exc.msg}") from None
-    except RecursionError:
-        raise InstanceError("invalid instance JSON: nested too deeply") from None
+    doc = _load_json(text, InstanceError, "instance JSON", located=False)
     if not isinstance(doc, list) or not all(isinstance(v, str) for v in doc):
         raise InstanceError("instance must be a JSON array of value strings")
     return make_instance(space, doc)
@@ -268,11 +279,12 @@ def read_instances_csv(space: FeatureSpace, path: str) -> list[Instance]:
         order = [header.index(name) for name in expected]
         rows = []
         for row in filled:
-            if len(row) != len(header):
-                raise InstanceError(
-                    f"{path}:{reader.line_num}: wrong number of columns"
-                )
-            rows.append(make_instance(space, [row[i] for i in order]))
+            try:
+                if len(row) != len(header):
+                    raise InstanceError("wrong number of columns")
+                rows.append(make_instance(space, [row[i] for i in order]))
+            except (InstanceError, UnknownValueError) as exc:
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise InstanceError(f"{path}:{reader.line_num}: {exc}") from None
     return rows
@@ -735,6 +747,15 @@ def _require_keys(obj: dict, keys: set[str], what: str) -> None:
         raise TreeSchemaError(f"{what}: missing key {sorted(missing)[0]!r}")
 
 
+def _require_utf8(text: str, what: str) -> None:
+    """Reject a string that no UTF-8 stream can write: JSON can spell a
+    lone surrogate such as ``"\\ud800"``."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise TreeSchemaError(f"{what} {text!r} does not encode as UTF-8") from None
+
+
 def parse_tree(text: str) -> DecisionTree:
     """Parse and validate the JSON tree format.
 
@@ -743,14 +764,7 @@ def parse_tree(text: str) -> DecisionTree:
     (map from node id to either ``{"leaf": class}`` or
     ``{"feature": name, "edges": [{"values": [...], "child": id}, ...]}``).
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TreeSyntaxError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    except RecursionError:
-        raise TreeSyntaxError("invalid JSON: nested too deeply") from None
+    doc = _load_json(text, TreeSyntaxError, "JSON", located=True)
     _require_keys(doc, {"features", "classes", "root", "nodes"}, "tree document")
 
     if not isinstance(doc["features"], list):
@@ -765,12 +779,17 @@ def parse_tree(text: str) -> DecisionTree:
             isinstance(v, str) for v in domain
         ):
             raise TreeSchemaError(f"feature #{i}: domain must be a list of strings")
+        _require_utf8(name, f"feature #{i}: name")
+        for value in domain:
+            _require_utf8(value, f"feature #{i}: domain value")
         feats.append(Feature(i, name, tuple(domain)))
     space = FeatureSpace(feats)
 
     classes = doc["classes"]
     if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
         raise TreeSchemaError("'classes' must be a list of strings")
+    for name in classes:
+        _require_utf8(name, "class name")
 
     if not isinstance(doc["root"], str):
         raise TreeSchemaError("'root' must be a node id string")

@@ -360,11 +360,51 @@ def test_bad_instance_input_is_data_error(capsys, tmp_path):
     for raw, reason in (
         (b"x1,x2\n0,1\n\xff,0\n", "not UTF-8"),
         (b"x1,x2\n0,1\n1," + b"0" * 200_000 + b"\n", "field larger than field limit"),
+        (b"x1,x2\n0,1\n0,zz\n", "feature 'x2' has no value 'zz'"),
     ):
         rows.write_bytes(raw)
         code, _, err = invoke(capsys, "classify", "-t", tree, "--instances", str(rows))
         assert code == 2
         assert err.startswith(f"dtexplain: error: {rows}:3: ") and reason in err
+
+
+def test_a_number_too_long_for_int_is_a_data_error(capsys, tmp_path):
+    """CPython rejects an integer literal over its digit limit; a Python
+    without the limit decodes it and the schema rejects the document, so
+    only the exit code and the error row are asserted."""
+    text = pathlib.Path(fixture_path("or_tree")).read_text(encoding="utf-8").rstrip()
+    big = tmp_path / "big.json"
+    big.write_text(text[:-1] + ', "x": ' + "9" * 5000 + "}\n", encoding="utf-8")
+    code, out, err = invoke(capsys, "stats", "-t", str(big), fixture_path("or_tree"))
+    assert code == 2
+    assert f"error: {big}: " in out  # the error row
+    assert fixture_path("or_tree") in out  # the other file still reports
+    assert err.startswith(f"dtexplain: error: {big}: ")
+    code, out, err = invoke(
+        capsys, "classify", "-t", fixture_path("or_tree"), "-i", "[" + "1" * 5000 + "]"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("dtexplain: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("explain", "--path", "P2"),
+        ("redundancy",),
+        ("enumerate", "-i", '["1", "0"]'),
+    ],
+    ids=["explain", "redundancy", "enumerate"],
+)
+def test_a_name_that_does_not_encode_is_a_data_error(capsys, tmp_path, argv):
+    """A feature name spelled with a lone surrogate could not be written to
+    the output; the tree is rejected instead."""
+    text = pathlib.Path(fixture_path("or_tree")).read_text(encoding="utf-8")
+    bad = tmp_path / "surrogate.json"
+    bad.write_text(text.replace('"x1"', '"x1\\ud800"'), encoding="utf-8")
+    code, out, err = invoke(capsys, argv[0], "-t", str(bad), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dtexplain: error: {bad}: feature #0: name ")
 
 
 def test_unknown_path_id_is_data_error(capsys):
@@ -454,15 +494,6 @@ def _merge_first_two(real):
     return lie
 
 
-def _flip_verdict(real):
-    def lie(tree, path):
-        honest = real(tree, path)
-        return RedundancyResult(
-            not honest.redundant, honest.witness, honest.node_visits
-        )
-    return lie
-
-
 def _flip_scanned_verdict(real):
     def lie(*args, **kwargs):
         scan = real(*args, **kwargs)
@@ -482,11 +513,9 @@ def _other_class(real):
 
 
 def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
-    from dtexplain.explain import is_path_redundant
+    from dtexplain.explain import _scan
 
-    monkeypatch.setattr(
-        "dtexplain.cli.is_path_redundant", _flip_verdict(is_path_redundant)
-    )
+    monkeypatch.setattr("dtexplain.cli._scan", _flip_scanned_verdict(_scan))
     code, _, err = invoke(
         capsys, "redundancy", "-t", fixture_path("or_tree"), "--verify"
     )
@@ -515,7 +544,7 @@ def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
             ("stats", "-t", fixture_path("or_tree")),
         ),
         (
-            "dtexplain.cli.classify", _other_class,
+            "dtexplain.explain.classify", _other_class,
             ("classify", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
         ),
     ],
@@ -562,7 +591,7 @@ def _drop_one_more(real):
     "target, liar, argv",
     [
         (
-            "dtexplain.cli.classify", _another_path_of_its_class,
+            "dtexplain.explain.classify", _another_path_of_its_class,
             ("classify", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
         ),
         (

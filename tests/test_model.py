@@ -116,6 +116,52 @@ def test_syntax_error_reports_position():
         parse_tree("{not json")
 
 
+def test_a_number_too_long_for_int_is_a_format_error():
+    """CPython's decoder raises a plain ValueError for an integer over
+    ``sys.get_int_max_str_digits()`` digits; a Python without that limit
+    decodes it, and the schema rejects the document instead."""
+    text = json.dumps(doc())
+    with pytest.raises(TreeFormatError):
+        parse_tree(text[:-1] + ', "x": ' + "9" * 5000 + "}")
+    tree = parse(doc())
+    with pytest.raises(InstanceError):
+        parse_instance_json(tree.space, "[" + "1" * 5000 + "]")
+
+
+def _rename_feature(obj, new):
+    obj["features"][0]["name"] = new
+    obj["nodes"]["n0"]["feature"] = new
+
+
+def _rename_value(obj, new):
+    obj["features"][1]["domain"][0] = new
+
+
+def _rename_class(obj, new):
+    obj["classes"][0] = new
+    obj["nodes"]["t0"]["leaf"] = new
+
+
+@pytest.mark.parametrize(
+    "rename, what",
+    [
+        (_rename_feature, "feature #0: name"),
+        (_rename_value, "feature #1: domain value"),
+        (_rename_class, "class name"),
+    ],
+    ids=["feature", "value", "class"],
+)
+def test_a_name_that_does_not_encode_as_utf8_is_rejected(rename, what):
+    """JSON can spell a lone surrogate, which no UTF-8 output can write."""
+    bad = doc()
+    rename(bad, "x\ud800")
+    with pytest.raises(TreeSchemaError, match=f"^{what} .* does not encode as UTF-8"):
+        parse(bad)
+    fine = doc()
+    rename(fine, "x\ud83d\ude00")  # a surrogate pair decodes to one character
+    parse(fine)
+
+
 def test_non_covering_edges_rejected():
     bad = doc()
     bad["nodes"]["n0"]["edges"][1]["values"] = []  # schema: empty edge
@@ -1013,6 +1059,9 @@ def test_read_instances_csv_counts_blank_lines_in_error_lines(tmp_path):
     csv_file = tmp_path / "rows.csv"
     csv_file.write_text("x1,x2\n\n0,1\n\n\n1\n", encoding="utf-8")
     with pytest.raises(InstanceError, match=r"rows\.csv:6: wrong number of columns"):
+        read_instances_csv(tree.space, str(csv_file))
+    csv_file.write_text("x2,x1\n\n1,0\n\nzz,0\n", encoding="utf-8")
+    with pytest.raises(UnknownValueError, match=r"rows\.csv:5: feature 'x2' has no"):
         read_instances_csv(tree.space, str(csv_file))
     csv_file.write_bytes(b"\xef\xbb\xbfx1,x2\n\n0,1\n\xff\n")
     with pytest.raises(InstanceError, match=r"rows\.csv:4: not UTF-8"):

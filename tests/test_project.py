@@ -11,6 +11,8 @@ TIER_1 = (
     "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
     "python -m pytest -q --continue-on-collection-errors"
 )
+# exits 1 when a workload's outputs fail its reference check or an operation fails
+BENCHMARK_ONCE = "python bench/run.py --workload all --seconds 1 --seed 1"
 
 
 def lowest_python() -> tuple[int, int]:
@@ -30,7 +32,7 @@ def test_ci_runs_the_tier_1_command_from_the_lowest_python_up():
     assert versions == ["3.10", "3.11", "3.12"]
     assert versions[0] == "%d.%d" % lowest_python()
     runs = [step["run"] for step in job["steps"] if "run" in step]
-    assert runs == ["pip install pytest hypothesis", TIER_1]
+    assert runs == ["pip install pytest hypothesis", TIER_1, BENCHMARK_ONCE]
 
 
 def test_every_module_parses_as_the_lowest_python():
