@@ -68,20 +68,14 @@ PATH_UNRESTRICTED = "path-unrestricted"
 
 @dataclass(frozen=True, slots=True)
 class Explanation:
-    """A literal set claimed to entail a prediction.
-
-    ``mode`` tells whether the candidate literals came from a tree path or
-    from the instance's equality literals (None for source-agnostic
-    results, e.g. from the brute-force oracle).
-    """
+    """A literal set claimed to entail a prediction, one literal per
+    feature; equal answers compare equal whatever their source."""
 
     literals: frozenset[Literal]
     target: int
-    mode: str | None = None
-    source: str | tuple | None = None
 
     def sorted_literals(self) -> list[Literal]:
-        return sorted(self.literals, key=Literal.sort_key)
+        return sorted(self.literals, key=lambda lit: lit.feature)
 
     def render(self, tree: DecisionTree) -> str:
         body = ", ".join(lit.render(tree.space) for lit in self.sorted_literals())
@@ -174,10 +168,9 @@ class _Source(NamedTuple):
     target: int  # the class they entail
     path: TreePath  # the path itself, or the one the instance takes
     mode: str
-    tag: str | tuple  # the explanations' ``source``: path id or instance
 
     def explanation(self, literals: Iterable[Literal]) -> Explanation:
-        return Explanation(frozenset(literals), self.target, self.mode, self.tag)
+        return Explanation(frozenset(literals), self.target)
 
 
 def _source(tree: DecisionTree, source: TreePath | Instance, mode: str) -> _Source:
@@ -188,12 +181,12 @@ def _source(tree: DecisionTree, source: TreePath | Instance, mode: str) -> _Sour
         if not isinstance(source, TreePath):
             raise HittingSetError("path-restricted mode needs a tree path source")
         tree.check_owns(source)
-        return _Source(source.literals, source.prediction, source, mode, source.path_id)
+        return _Source(source.literals, source.prediction, source, mode)
     if mode == PATH_UNRESTRICTED:
         if isinstance(source, TreePath):
             raise HittingSetError("path-unrestricted mode needs an instance source")
         target, path = classify(tree, source)
-        return _Source(_point_literals(source), target, path, mode, tuple(source))
+        return _Source(_point_literals(source), target, path, mode)
     raise HittingSetError(f"unknown mode {mode!r}")
 
 

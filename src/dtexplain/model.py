@@ -230,13 +230,23 @@ def make_instance(space: FeatureSpace, values: Sequence) -> Instance:
     return point
 
 
-def _load_json(text: str, error: type[ValueError], what: str, located: bool):
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """An object's members as a dict; a key given twice raises ValueError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+    return obj
+
+
+def _load_json(text: str, error: type[ValueError], what: str, located: bool, hook=None):
     """Decode a JSON document, raising ``error`` with an ``invalid {what}``
     message for a syntax error (at its line and column, if ``located``),
     nesting too deep for the decoder, or any other decoder ``ValueError``,
-    such as an integer over ``sys.get_int_max_str_digits()`` digits."""
+    such as an integer over ``sys.get_int_max_str_digits()`` digits or one
+    raised by ``hook``, the decoder's ``object_pairs_hook``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=hook)
     except json.JSONDecodeError as exc:
         at = f" at line {exc.lineno}, column {exc.colno}" if located else ""
         raise error(f"invalid {what}{at}: {exc.msg}") from None
@@ -310,9 +320,6 @@ class Literal:
     @property
     def allowed(self) -> frozenset[int]:
         return _bits(self.mask)
-
-    def sort_key(self) -> tuple:
-        return (self.feature, tuple(sorted(self.allowed)))
 
     def names(self, space: FeatureSpace) -> tuple[str, list[str]]:
         """The feature's name and the allowed values' names, in domain order."""
@@ -764,7 +771,7 @@ def parse_tree(text: str) -> DecisionTree:
     (map from node id to either ``{"leaf": class}`` or
     ``{"feature": name, "edges": [{"values": [...], "child": id}, ...]}``).
     """
-    doc = _load_json(text, TreeSyntaxError, "JSON", located=True)
+    doc = _load_json(text, TreeSyntaxError, "JSON", located=True, hook=_unique_keys)
     _require_keys(doc, {"features", "classes", "root", "nodes"}, "tree document")
 
     if not isinstance(doc["features"], list):
@@ -850,7 +857,8 @@ def parse_tree(text: str) -> DecisionTree:
 def parse_tree_file(path: str) -> DecisionTree:
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_tree(handle.read())
+            # not "utf-8-sig": its error offsets would not count the mark
+            return parse_tree(handle.read().removeprefix("\ufeff"))
     except TreeFormatError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:

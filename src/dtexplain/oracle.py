@@ -161,10 +161,7 @@ class BruteForceOracle:
                         minimal.append(mask)
         return [
             Explanation(
-                literals=frozenset(u for i, u in enumerate(universe) if m >> i & 1),
-                target=class_id,
-                mode=None,
-                source=None,
+                frozenset(u for i, u in enumerate(universe) if m >> i & 1), class_id
             )
             for m in minimal
         ]

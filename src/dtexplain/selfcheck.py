@@ -25,7 +25,7 @@ from .explain import (
     entails,
 )
 from .hitting import _enumerate
-from .model import DecisionTree, Instance, Literal, TreePath
+from .model import DecisionTree, Instance, TreePath
 from .oracle import BruteForceOracle
 from .randtree import random_instance
 
@@ -130,12 +130,12 @@ def check_extraction(
 
 def check_enumeration(
     oracle, universe, target: int, explanations, limit=None, label: str | None = None
-) -> set[frozenset[Literal]]:
-    """The oracle's PI-explanation sets of class ``target`` drawn from
+) -> set[Explanation]:
+    """The oracle's PI-explanations of class ``target`` drawn from
     ``universe``, after checking that ``explanations`` are all of them, or
     ``limit`` of them (all, if there are fewer), each listed once."""
-    truth = {e.literals for e in oracle.enumerate_pi(universe, target)}
-    found = {e.literals for e in explanations}
+    truth = set(oracle.enumerate_pi(universe, target))
+    found = set(explanations)
     want = len(truth) if limit is None else min(limit, len(truth))
     _require(found <= truth, label, "enumeration emitted a non-PI set")
     _require(len(found) == len(explanations), label, "enumeration repeated a set")
@@ -159,7 +159,7 @@ def check_tree(
         """Check a source's scan, extraction and enumeration against each
         other and the oracle, with their work bounds, and that every
         PI-explanation holds the scan's core; returns the scan's verdict,
-        the extracted explanation and the oracle's PI-explanation sets."""
+        the extracted explanation and the oracle's PI-explanations."""
         universe, target = src.literals, src.target
         scan = _scan(tree, src)
         _bounded(scan.visits, tree.node_count + src.path.depth, "scan examined", where)
@@ -171,17 +171,15 @@ def check_tree(
         _bounded(entered, tree.node_count, "family search entered", where)
         truth = check_enumeration(oracle, universe, target, fast, None, where)
         necessary = {lit for lit in universe if scan.core >> lit.feature & 1}
-        missing = [t for t in truth if not necessary <= t]
+        missing = [t for t in truth if not necessary <= t.literals]
         _require(not missing, where, "a PI-explanation lacks a necessary literal")
         _require(
-            extracted.literals in truth,
-            where,
-            "extracted explanation is not a PI-explanation",
+            extracted in truth, where, "extracted explanation is not a PI-explanation"
         )
         _check_minimal(fast_entails, extracted.literals, target, where)
         return scan.verdict, extracted, truth
 
-    restricted_by_leaf: dict[int, set[frozenset[Literal]]] = {}
+    restricted_by_leaf: dict[int, set[Explanation]] = {}
     for path in tree.paths:
         where = f"{label}/{path.path_id}"
         src = _source(tree, path, PATH_RESTRICTED)

@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 import weakref
 
@@ -111,3 +112,31 @@ def comb_tree(n: int) -> DecisionTree:
         nodes[f"miss{k}"] = Leaf(0)
         nodes[f"hit{k}"] = Leaf(1)
     return DecisionTree(space, ("0", "1"), "c0", nodes)
+
+
+def or_of_ands_tree(k: int, m: int) -> DecisionTree:
+    """(a1_1 and ... and a1_m) or ... or (ak_1 and ... and ak_m) over
+    binary features.  Term i tests ai_1 ... ai_m in turn, and ones on all
+    of them lead to a class-1 leaf; a 0 leaves the term for a fresh copy
+    of the tests of terms i+1 ... k, and a 0 in the last term leads to a
+    class-0 leaf."""
+    space = FeatureSpace.from_pairs(
+        (f"a{i + 1}_{j + 1}", ("0", "1")) for i in range(k) for j in range(m)
+    )
+    ids = (f"n{n}" for n in itertools.count())
+    nodes = {}
+
+    def terms(i: int) -> str:
+        """Build a fresh copy of the tests of terms i+1 ... k, a class-0
+        leaf if there are none, and return the id of its root."""
+        if i == k:
+            nodes[leaf := next(ids)] = Leaf(0)
+            return leaf
+        tests = [next(ids) for _ in range(m)]
+        nodes[hit := next(ids)] = Leaf(1)
+        for j, ones in enumerate(tests[1:] + [hit]):
+            edges = (Edge(frozenset({0}), terms(i + 1)), Edge(frozenset({1}), ones))
+            nodes[tests[j]] = Split(i * m + j, edges)
+        return tests[0]
+
+    return DecisionTree(space, ("0", "1"), terms(0), nodes)

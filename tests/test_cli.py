@@ -267,6 +267,33 @@ def test_stats_names_a_bad_file_once(capsys, tmp_path, raw, reason):
     assert entry["file"] == str(bad) and entry["error"].count(str(bad)) == 1
 
 
+def test_a_repeated_object_key_is_a_data_error(capsys, tmp_path):
+    """Leaf b written as class 1, then as class 0: read with the last value
+    winning, both paths would be redundant."""
+    bad = tmp_path / "twice.json"
+    bad.write_text(
+        '{"features": [{"name": "x", "domain": ["0", "1"]}], "classes": ["0", "1"],'
+        ' "root": "r", "nodes": {"r": {"feature": "x", "edges": ['
+        '{"values": ["0"], "child": "a"}, {"values": ["1"], "child": "b"}]},'
+        ' "a": {"leaf": "0"}, "b": {"leaf": "1"}, "b": {"leaf": "0"}}}',
+        encoding="utf-8",
+    )
+    code, out, err = invoke(capsys, "stats", "-t", str(bad))
+    assert code == 2
+    row = f"error: {bad}: invalid JSON: duplicate key 'b'\n"
+    assert out.endswith("\n" + row) and err == "dtexplain: " + row
+
+
+def test_a_tree_file_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    text = pathlib.Path(fixture_path("or_tree")).read_text(encoding="utf-8")
+    marked = tmp_path / "marked.json"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    plain = invoke(capsys, "stats", "-t", fixture_path("or_tree"), "--format", "json")
+    code, out, err = invoke(capsys, "stats", "-t", str(marked), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == plain[1].replace(fixture_path("or_tree"), str(marked))
+
+
 @pytest.mark.parametrize(
     "command, single, listed",
     [
@@ -494,6 +521,14 @@ def _merge_first_two(real):
     return lie
 
 
+def _other_target(real):
+    def lie(tree, src, scan, limit):
+        found, entered = real(tree, src, scan, limit)  # the right literal sets
+        other = (src.target + 1) % len(tree.classes)
+        return [Explanation(e.literals, other) for e in found], entered
+    return lie
+
+
 def _flip_scanned_verdict(real):
     def lie(*args, **kwargs):
         scan = real(*args, **kwargs)
@@ -540,6 +575,10 @@ def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
              "--limit", "1"),
         ),
         (
+            "dtexplain.cli._enumerate", _other_target,
+            ("enumerate", "-t", fixture_path("selector"), "-i", '["1", "1", "1", "1"]'),
+        ),
+        (
             "dtexplain.report._scan", _flip_scanned_verdict,
             ("stats", "-t", fixture_path("or_tree")),
         ),
@@ -548,7 +587,10 @@ def test_verify_detects_a_lying_fast_path(capsys, monkeypatch):
             ("classify", "-t", fixture_path("or_tree"), "-i", '["0", "1"]'),
         ),
     ],
-    ids=["enumerate", "enumerate-twice", "enumerate-limit", "stats", "classify"],
+    ids=[
+        "enumerate", "enumerate-twice", "enumerate-limit", "enumerate-class", "stats",
+        "classify",
+    ],
 )
 def test_verify_detects_every_lying_command(capsys, monkeypatch, target, liar, argv):
     module, name = target.rsplit(".", 1)
@@ -583,7 +625,7 @@ def _drop_one_more(real):
         if len(honest.literals) == len(src.literals):
             return honest, entered
         rest = frozenset(honest.sorted_literals()[1:])  # no longer entails
-        return Explanation(rest, honest.target, honest.mode, honest.source), entered
+        return Explanation(rest, honest.target), entered
     return lie
 
 

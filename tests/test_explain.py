@@ -255,8 +255,6 @@ def test_extract_p2():
     tree = load_tree("or_of_ands")
     explanation = one_pi_explanation_path(tree, tree.path("P2"))
     assert literal_names(tree, explanation.literals) == {"x3=1", "x4=1"}
-    assert explanation.mode == "path-restricted"
-    assert explanation.source == "P2"
 
 
 def test_extract_cross_circle():
@@ -285,8 +283,6 @@ def test_extract_instance_selector():
     tree = load_tree("selector")
     explanation = one_pi_explanation_instance(tree, (1, 1, 1, 1))
     assert literal_names(tree, explanation.literals) == {"x1=1", "x3=1"}
-    assert explanation.mode == "path-unrestricted"
-    assert explanation.source == (1, 1, 1, 1)
 
 
 def test_extract_instance_or_tree():

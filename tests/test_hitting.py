@@ -302,7 +302,6 @@ def test_enumerate_restricted_p2():
     assert [literal_names(tree, e.literals) for e in explanations] == [
         frozenset({"x3=1", "x4=1"})
     ]
-    assert explanations[0].mode == PATH_RESTRICTED
     assert all(entails(tree, e.literals, e.target) for e in explanations)
 
 

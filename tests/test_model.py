@@ -128,6 +128,27 @@ def test_a_number_too_long_for_int_is_a_format_error():
         parse_instance_json(tree.space, "[" + "1" * 5000 + "]")
 
 
+DUPLICATE_LEAF = """{"features": [{"name": "x", "domain": ["0", "1"]}],
+ "classes": ["0", "1"], "root": "r",
+ "nodes": {"r": {"feature": "x", "edges": [{"values": ["0"], "child": "a"},
+                                           {"values": ["1"], "child": "b"}]},
+           "a": {"leaf": "0"}, "b": {"leaf": "1"}, "b": {"leaf": "0"}}}"""
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (DUPLICATE_LEAF, "'b'"),
+        (DUPLICATE_LEAF.replace('"1"}, "b": {', '"1", '), "'leaf'"),
+    ],
+    ids=["node", "member"],
+)
+def test_a_repeated_object_key_is_a_syntax_error(text, key):
+    """Without the check the last value wins: leaf b reads as class 0."""
+    with pytest.raises(TreeSyntaxError, match=f"^invalid JSON: duplicate key {key}$"):
+        parse_tree(text)
+
+
 def _rename_feature(obj, new):
     obj["features"][0]["name"] = new
     obj["nodes"]["n0"]["feature"] = new

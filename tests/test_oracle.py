@@ -10,6 +10,8 @@ from conftest import FIXTURE_NAMES, literal_names, load_tree
 
 import dtexplain
 from dtexplain import (
+    PATH_RESTRICTED,
+    PATH_UNRESTRICTED,
     BruteForceOracle,
     BudgetExceededError,
     DecisionTree,
@@ -21,6 +23,12 @@ from dtexplain import (
     OracleMismatch,
     Split,
     check_tree,
+    classify,
+    enumerate_pi_explanations,
+    instance_literals,
+    one_pi_explanation_instance,
+    one_pi_explanation_path,
+    random_instance,
     random_tree,
 )
 
@@ -122,6 +130,30 @@ def test_redundancy_consistent_with_enumeration(name):
             for e in BruteForceOracle(tree).enumerate_pi(path.literals, path.prediction)
         )
         assert BruteForceOracle(tree).is_redundant(path) == smaller
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fast_answers_equal_the_oracles(name):
+    """An answer is its literals and its class: each path's and instance's
+    extraction is one of the oracle's PI-explanations, and its enumeration
+    is the oracle's, whatever source they were drawn from."""
+    tree = load_tree(name)
+    oracle = BruteForceOracle(tree)
+    sources = [
+        (path, PATH_RESTRICTED, path.literals, path.prediction) for path in tree.paths
+    ]
+    rng = random.Random(5)
+    for _ in range(5):
+        point = random_instance(tree.space, rng)
+        universe = instance_literals(tree.space, point)
+        sources.append((point, PATH_UNRESTRICTED, universe, classify(tree, point)[0]))
+    for source, mode, universe, target in sources:
+        truth = oracle.enumerate_pi(universe, target)
+        if mode == PATH_RESTRICTED:
+            assert one_pi_explanation_path(tree, source) in truth
+        else:
+            assert one_pi_explanation_instance(tree, source) in truth
+        assert set(enumerate_pi_explanations(tree, source, mode)) == set(truth)
 
 
 def test_queries_are_order_free_repeatable_and_checked():

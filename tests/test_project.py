@@ -29,7 +29,7 @@ def test_ci_runs_the_tier_1_command_from_the_lowest_python_up():
     )
     (job,) = workflow["jobs"].values()
     versions = job["strategy"]["matrix"]["python-version"]
-    assert versions == ["3.10", "3.11", "3.12"]
+    assert versions == ["3.10", "3.11", "3.12", "3.13"]
     assert versions[0] == "%d.%d" % lowest_python()
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs == ["pip install pytest hypothesis", TIER_1, BENCHMARK_ONCE]
@@ -47,3 +47,26 @@ def test_every_module_parses_as_the_lowest_python():
         ast.parse(
             path.read_text(encoding="utf-8"), filename=str(path), feature_version=version
         )
+
+
+def test_the_readme_library_example_does_what_its_comments_say(monkeypatch, capsys):
+    """Runs the ``python`` block under ``## Library`` from the repo root,
+    keeping the value of each bare expression, as an interpreter shows it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    namespace, shown = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            shown.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "P1: {Humidity=high, Outlook=overcast} -> yes"
+    tree, verdict = namespace["tree"], namespace["verdict"]
+    assert verdict.redundant and tree.space.feature(verdict.witness).name == "Humidity"
+    assert namespace["one"].render(tree) == "{Outlook=overcast}"
+    assert printed[-1] == "Outlook in {rain,sunny} frozenset({1, 2})"
+    assert [value for value in shown if value is not None] == [True, 8]

@@ -1,15 +1,25 @@
 """Tree-level redundancy statistics."""
 
+import itertools
 import json
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_path, literal_names, load_tree, or_chain_tree
+from conftest import (
+    fixture_path,
+    literal_names,
+    load_tree,
+    or_chain_tree,
+    or_of_ands_tree,
+)
 
 from dtexplain import (
     PATH_RESTRICTED,
+    PATH_UNRESTRICTED,
     DecisionTree,
     Edge,
     FeatureSpace,
@@ -105,6 +115,46 @@ def test_parity_report_closed_forms(k):
         explanation = one_pi_explanation_instance(tree, point)
         assert explanation.literals == frozenset(instance_literals(tree.space, point))
         assert explanation.target == sum(point) % 2
+
+
+@pytest.mark.parametrize("k, m", [(3, 2), (4, 3), (6, 2), (5, 3), (9, 2), (11, 2)])
+def test_or_of_ands_report_closed_forms(k, m):
+    """On k terms of m binary features, each made again below every 0 of
+    the terms before it: a class-1 path needs only the m ones of the term
+    it ends in, and a class-0 path only its first 0 in each term.  So only
+    the path through the first term's ones and the path through each
+    term's first 0 are irredundant.  An instance's PI-explanations are its
+    all-ones terms, or one 0 from every term."""
+    tree = or_of_ands_tree(k, m)
+    nodes = 1
+    for _ in range(k):
+        nodes = m + m * nodes + 1
+    assert tree.node_count == nodes
+    report = tree_report(tree, f"or_of_ands-{k}x{m}")
+    classes = Counter(detail.class_name for detail in report.details)
+    assert classes == {"1": sum(m**j for j in range(k)), "0": m**k}
+    for detail in report.details:
+        assert detail.explanation_size == (m if detail.class_name == "1" else k)
+    assert report.redundant_count == report.path_count - 2
+    rng = random.Random(k * m)
+    seen = set()
+    for n in range(8):
+        point = [rng.randrange(2) for _ in range(k * m)]
+        if n % 2:  # a 0 in every term: class 0
+            for i in range(k):
+                point[i * m + rng.randrange(m)] = 0
+        terms = [
+            [f"a{i + 1}_{j + 1}={point[i * m + j]}" for j in range(m)] for i in range(k)
+        ]
+        zeros = [[name for name in term if name.endswith("=0")] for term in terms]
+        ones = [frozenset(term) for term, zero in zip(terms, zeros) if not zero]
+        seen.add(bool(ones))
+        found = enumerate_pi_explanations(tree, tuple(point), PATH_UNRESTRICTED)
+        assert {e.target for e in found} == {int(bool(ones))}
+        names = {literal_names(tree, e.literals) for e in found}
+        assert len(found) == (len(ones) or math.prod(map(len, zeros)))
+        assert names == (set(ones) or set(map(frozenset, itertools.product(*zeros))))
+    assert seen == {True, False}
 
 
 def test_restaurant_report():
