@@ -770,7 +770,9 @@ def parse_tree(text: str) -> DecisionTree:
     ``classes`` (list of class names), ``root`` (node id) and ``nodes``
     (map from node id to either ``{"leaf": class}`` or
     ``{"feature": name, "edges": [{"values": [...], "child": id}, ...]}``).
+    A leading byte order mark is ignored, as RFC 8259 allows.
     """
+    text = text.removeprefix("\ufeff")
     doc = _load_json(text, TreeSyntaxError, "JSON", located=True, hook=_unique_keys)
     _require_keys(doc, {"features", "classes", "root", "nodes"}, "tree document")
 
@@ -858,7 +860,7 @@ def parse_tree_file(path: str) -> DecisionTree:
     try:
         with open(path, encoding="utf-8") as handle:
             # not "utf-8-sig": its error offsets would not count the mark
-            return parse_tree(handle.read().removeprefix("\ufeff"))
+            return parse_tree(handle.read())
     except TreeFormatError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:

@@ -1,11 +1,11 @@
 """Brute-force ground truth over small feature spaces.
 
-Everything here works by exhausting feature-space points with its own
-little tree walker, independently of the traversal-based fast paths, so
-the two sides can be checked against each other.  Each point is walked
-at most once per tree; entailment queries are then answered by int
-bitset algebra over the points.  Operations refuse inputs beyond the
-budget instead of degrading.
+Everything here exhausts the feature space, as int bitsets over its
+points, and reads ``tree.nodes`` with its own code, never the lowered
+lists that the fast paths search, so the two sides can be checked
+against each other.  Each class's points come from one walk over the
+nodes, and entailment queries are answered by bitset algebra.
+Operations refuse inputs beyond the budget instead of degrading.
 """
 
 from __future__ import annotations
@@ -48,11 +48,13 @@ class BruteForceOracle:
     """Exhaustive checker bound to one tree.
 
     Entailment is decided on int bitsets over the space's points, bit
-    ``i`` standing for the i-th point of :meth:`FeatureSpace.points`.  The
-    first query walks every point once and records which points reach
-    each class; a literal's points form a periodic block pattern, built
-    without a walk and cached per feature and mask.  A query ANDs its
-    literals' bitsets and looks for a point of another class.
+    ``i`` standing for the i-th point of :meth:`FeatureSpace.points`.  A
+    literal's points form a periodic block pattern, built without a walk
+    and cached per feature and mask.  The first query records which
+    points reach each class, from one walk over the tree's nodes that
+    meets each edge's pattern with the points reaching its parent.  A
+    query ANDs its literals' bitsets and looks for a point of another
+    class.
     """
 
     def __init__(self, tree: DecisionTree, budget: OracleBudget = DEFAULT_BUDGET):
@@ -80,36 +82,44 @@ class BruteForceOracle:
         return node_id
 
     def _contrary(self, class_id: int) -> int:
-        """The points that reach a leaf of another class than ``class_id``;
-        the first call walks every point of the space once."""
+        """The points that reach a leaf of another class than ``class_id``.
+        The first call walks the tree's nodes once: a node's points are
+        its parent's met with the edge's selection, and a leaf's points
+        join its class."""
         if self._others is None:
             nodes = self.tree.nodes
-            size = (self.tree.space.point_count() + 7) // 8
-            rows = [bytearray(size) for _ in self.tree.classes]
-            for i, point in enumerate(self.tree.space.points()):
-                rows[nodes[self._walk(point)].class_id][i >> 3] |= 1 << (i & 7)
-            self._others = {
-                c: self._all_points & ~int.from_bytes(row, "little")
-                for c, row in enumerate(rows)
-            }
+            reach = [0] * len(self.tree.classes)
+            stack = [(self.tree.root, self._all_points)]
+            while stack:
+                node_id, points = stack.pop()
+                node = nodes[node_id]
+                if isinstance(node, Leaf):
+                    reach[node.class_id] |= points
+                    continue
+                for edge in node.edges:
+                    mask = sum(1 << v for v in edge.values)
+                    edge_points = points & self._selection(node.feature, mask)
+                    if edge_points:
+                        stack.append((edge.child, edge_points))
+            self._others = {c: self._all_points & ~r for c, r in enumerate(reach)}
         return self._others.get(class_id, self._all_points)
 
-    def _selection(self, lit: Literal) -> int:
-        """The points whose value on ``lit.feature`` lies in ``lit.mask``.
+    def _selection(self, feature: int, mask: int) -> int:
+        """The points whose value on ``feature`` lies in the value ``mask``.
         The last feature varies fastest, so value ``v`` holds the ``v``-th
         run of ``stride`` points in every period of the pattern; the
         pattern is spelt in binary with point 0 last, as its lowest bit."""
-        cache = self._selections[lit.feature]
-        found = cache.get(lit.mask)
+        cache = self._selections[feature]
+        found = cache.get(mask)
         if found is None:
             features = self.tree.space.features
-            stride = math.prod(len(f.domain) for f in features[lit.feature + 1 :])
+            stride = math.prod(len(f.domain) for f in features[feature + 1 :])
             period = b"".join(
-                (b"1" if lit.mask >> v & 1 else b"0") * stride
-                for v in range(len(features[lit.feature].domain))
+                (b"1" if mask >> v & 1 else b"0") * stride
+                for v in range(len(features[feature].domain))
             )
             repeats = self.tree.space.point_count() // len(period)
-            found = cache[lit.mask] = int((period * repeats)[::-1], 2)
+            found = cache[mask] = int((period * repeats)[::-1], 2)
         return found
 
     def entails(self, literals: Iterable[Literal], class_id: int) -> bool:
@@ -123,7 +133,7 @@ class BruteForceOracle:
                     f"more than one literal for feature index {lit.feature}"
                 )
             seen.add(lit.feature)
-            consistent &= self._selection(lit)
+            consistent &= self._selection(lit.feature, lit.mask)
         return not consistent & self._contrary(class_id)
 
     def enumerate_pi(
@@ -141,7 +151,7 @@ class BruteForceOracle:
         feats = [lit.feature for lit in universe]
         if len(set(feats)) != len(feats):
             raise ValueError("universe must hold one literal per feature")
-        selections = [self._selection(lit) for lit in universe]
+        selections = [self._selection(lit.feature, lit.mask) for lit in universe]
         contrary = self._contrary(class_id)
         bits = [1 << i for i in range(len(universe))]
         minimal: list[int] = []  # sums of bits

@@ -135,6 +135,16 @@ def check_enumeration(
     ``universe``, after checking that ``explanations`` are all of them, or
     ``limit`` of them (all, if there are fewer), each listed once."""
     truth = set(oracle.enumerate_pi(universe, target))
+    _compare_enumeration(truth, target, explanations, limit, label)
+    return truth
+
+
+def _compare_enumeration(truth, target: int, explanations, limit, label) -> None:
+    """The checks of :func:`check_enumeration`, against the oracle's
+    PI-explanations ``truth``; an answer of another class is named so."""
+    other = next((e.target for e in explanations if e.target != target), target)
+    detail = f"enumeration answered class index {other}, not {target}"
+    _require(other == target, label, detail)
     found = set(explanations)
     want = len(truth) if limit is None else min(limit, len(truth))
     _require(found <= truth, label, "enumeration emitted a non-PI set")
@@ -142,7 +152,6 @@ def check_enumeration(
     _require(
         len(found) == want, label, f"enumeration found {len(found)} sets, oracle {want}"
     )
-    return truth
 
 
 def check_tree(
@@ -150,7 +159,9 @@ def check_tree(
 ) -> CheckStats:
     """Run the four checkers over every path of ``tree`` and over
     ``n_instances`` random instances, with the work bounds and the checks
-    across answers."""
+    across answers.  Each source asks the oracle for its PI-explanations
+    once: an extraction among them passes the extraction checker's every
+    test, so that checker runs only on a miss, to name the fault."""
     oracle = BruteForceOracle(tree)
     fast_entails = partial(entails, tree)
     stats = CheckStats(trees=1)
@@ -166,10 +177,12 @@ def check_tree(
         extracted, entered = _extract(tree, src, scan)
         bound = len(universe) * tree.node_count
         _bounded(entered, bound, "extraction entered", where)
-        check_extraction(oracle, universe, target, extracted, where)
+        truth = set(oracle.enumerate_pi(universe, target))
+        if extracted not in truth:  # let the extraction checker name the fault
+            check_extraction(oracle, universe, target, extracted, where)
         fast, entered = _enumerate(tree, src, scan, None)
         _bounded(entered, tree.node_count, "family search entered", where)
-        truth = check_enumeration(oracle, universe, target, fast, None, where)
+        _compare_enumeration(truth, target, fast, None, where)
         necessary = {lit for lit in universe if scan.core >> lit.feature & 1}
         missing = [t for t in truth if not necessary <= t.literals]
         _require(not missing, where, "a PI-explanation lacks a necessary literal")

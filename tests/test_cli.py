@@ -601,6 +601,10 @@ def test_verify_detects_every_lying_command(capsys, monkeypatch, target, liar, a
     code, out, err = invoke(capsys, *argv, "--verify")
     assert code == 3 and out == ""
     assert "oracle mismatch" in err
+    if liar is _other_target:  # every literal set is right, the class is not
+        assert err == (
+            "dtexplain: oracle mismatch: enumeration answered class index 0, not 1\n"
+        )
 
 
 def _another_path_of_its_class(real):

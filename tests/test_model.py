@@ -149,6 +149,28 @@ def test_a_repeated_object_key_is_a_syntax_error(text, key):
         parse_tree(text)
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_parse_tree_ignores_a_leading_byte_order_mark(name):
+    """RFC 8259 lets a parser ignore the mark: the string API builds the
+    same paths and node layout with it as without it."""
+    text = pathlib.Path(fixture_path(name)).read_text(encoding="utf-8")
+    plain, marked = parse_tree(text), parse_tree("\ufeff" + text)
+
+    def paths(tree):
+        return [
+            (p.path_id, p.leaf, p.prediction, p.literals, p.depth) for p in tree.paths
+        ]
+
+    assert paths(marked) == paths(plain)
+    assert (marked.root, marked.nodes, marked.classes) == (
+        plain.root, plain.nodes, plain.classes
+    )
+    layout = [k for k in vars(plain) if k.startswith("_") and "path" not in k]
+    assert layout and [getattr(marked, k) for k in layout] == [
+        getattr(plain, k) for k in layout
+    ]
+
+
 def _rename_feature(obj, new):
     obj["features"][0]["name"] = new
     obj["nodes"]["n0"]["feature"] = new

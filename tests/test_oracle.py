@@ -1,7 +1,9 @@
 """Brute-force oracle: exhaustive entailment, enumeration, redundancy,
 and the selfcheck checkers built on it."""
 
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from dtexplain import (
     BudgetExceededError,
     DecisionTree,
     Edge,
+    Explanation,
     FeatureSpace,
     Leaf,
     Literal,
@@ -263,9 +266,10 @@ def test_entails_matches_definition_on_random_trees():
         check_against_definition(random_tree(seed), rng, queries=8)
 
 
-@pytest.mark.parametrize(
-    "sizes", [(2, 3, 4, 6), (6, 4, 3, 2), (3, 6, 2, 4), (4, 2, 6, 3, 2), (6,), (3,)]
-)
+MIXED_SIZES = [(2, 3, 4, 6), (6, 4, 3, 2), (3, 6, 2, 4), (4, 2, 6, 3, 2), (6,), (3,)]
+
+
+@pytest.mark.parametrize("sizes", MIXED_SIZES)
 def test_entails_matches_definition_on_mixed_domains(sizes):
     """Runs and periods of every length the stride arithmetic produces."""
     for seed in range(5):
@@ -344,9 +348,9 @@ def test_check_tree_classifies_each_instance_once(monkeypatch):
         assert len(checks) == 4
 
 
-def test_check_tree_walks_each_point_at_most_once(monkeypatch):
-    """Complexity witness: the oracle's tables cost one walk per point of
-    the space, and the classification checker one walk per instance."""
+def test_check_tree_walks_only_its_instances(monkeypatch):
+    """Complexity witness: the oracle's class tables walk no point, so the
+    classification checker's one walk per instance is all the walking."""
     walked = []
     walk = BruteForceOracle._walk
 
@@ -356,7 +360,105 @@ def test_check_tree_walks_each_point_at_most_once(monkeypatch):
 
     monkeypatch.setattr(BruteForceOracle, "_walk", counted)
     for seed in range(6):
-        tree = random_tree(seed)
         walked.clear()
-        check_tree(tree, random.Random(seed), n_instances=10)
-        assert 0 < len(walked) <= tree.space.point_count() + 10
+        check_tree(random_tree(seed), random.Random(seed), n_instances=10)
+        assert len(walked) == 10
+
+
+@pytest.mark.parametrize("keep", ["all", "none"])
+def test_check_tree_names_an_extraction_fault(monkeypatch, keep):
+    """An extraction missing from the oracle's PI-explanations goes to the
+    extraction checker, which names the fault as ``--verify`` does."""
+
+    def lie(tree, src, scan):
+        literals = src.path.literal_set() if keep == "all" else frozenset()
+        return Explanation(literals, src.target), 0
+
+    monkeypatch.setattr(dtexplain.selfcheck, "_extract", lie)
+    tree = load_tree("play_tennis")
+    assert tree.paths[0].path_id == "P1"
+    if keep == "all":  # {Humidity=high, Outlook=overcast}: Humidity is droppable
+        index = tree.space.feature_by_name("Humidity").index
+        message = (
+            "tree/P1: explanation is not subset-minimal "
+            f"(droppable literal on feature index {index})"
+        )
+    else:
+        message = "tree/P1: explanation does not entail the prediction"
+    with pytest.raises(OracleMismatch) as raised:
+        check_tree(tree, random.Random(0), n_instances=5)
+    assert str(raised.value) == message
+
+
+def test_check_tree_asks_entailment_only_to_compare_answers(monkeypatch):
+    """Work witness: the oracle decides entailment for the redundancy
+    verdicts (at most a path's depth each) and for the per-instance
+    comparison (features + 1 each); an extraction found among the
+    oracle's PI-explanations costs no entailment query."""
+    calls = []
+    real = BruteForceOracle.entails
+
+    def counted(self, literals, class_id):
+        calls.append(class_id)
+        return real(self, literals, class_id)
+
+    monkeypatch.setattr(BruteForceOracle, "entails", counted)
+    for seed in range(21):
+        tree = random_tree(seed)
+        calls.clear()
+        check_tree(tree, random.Random(seed), n_instances=4)
+        bound = sum(p.depth for p in tree.paths) + 4 * (len(tree.space) + 1)
+        assert 0 < len(calls) <= bound, seed
+
+
+def _tables_by_walking(oracle):
+    """Per class, the points that the oracle's walker takes to it, as a
+    bitset with bit ``i`` for the i-th point of the space."""
+    tree = oracle.tree
+    tables = [0] * len(tree.classes)
+    for i, point in enumerate(tree.space.points()):
+        tables[tree.nodes[oracle._walk(point)].class_id] |= 1 << i
+    return tables
+
+
+@pytest.mark.parametrize(
+    "source", ["fixtures", "random_tree(0..99)", "mixed domains", "tiny spaces"]
+)
+def test_class_tables_match_the_walker(source):
+    """The tables built from the tree's regions hold, for every class, the
+    complement of the points that the walker takes to that class."""
+    if source == "fixtures":
+        trees = [load_tree(name) for name in FIXTURE_NAMES]
+    elif source == "random_tree(0..99)":
+        trees = [random_tree(seed) for seed in range(100)]
+    elif source == "mixed domains":
+        trees = [
+            mixed_domain_tree(sizes, seed) for sizes in MIXED_SIZES for seed in range(5)
+        ]
+    else:  # a lone leaf over one feature and over none, and a one-feature split
+        trees = [
+            load_tree("constant"),
+            DecisionTree(FeatureSpace([]), ("0", "1"), "r", {"r": Leaf(1)}),
+            mixed_domain_tree((3,), 0),
+        ]
+    for tree in trees:
+        oracle = BruteForceOracle(tree)
+        everything = (1 << tree.space.point_count()) - 1
+        for c, reached in enumerate(_tables_by_walking(oracle)):
+            assert oracle._contrary(c) == everything & ~reached, (tree, c)
+
+
+def test_the_oracle_reads_no_lowered_tree_list():
+    """The oracle's answers come from ``tree.nodes`` and its own walker,
+    never from the lowered lists that the fast paths search; of the
+    tree's private attributes it reads only ``_full``, each feature's
+    domain mask, to check literals."""
+    module = pathlib.Path(dtexplain.oracle.__file__)
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(module.read_text(), str(module)))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and ast.unparse(node.value).split(".")[-1] == "tree"
+    }
+    assert read == {"_full"}
