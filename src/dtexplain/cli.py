@@ -88,19 +88,20 @@ def build_parser() -> _Parser:
             help="cross-check the output against the brute-force oracle",
         )
 
-    def add_instance_source(p):
-        p.add_argument(
+    def add_instance_source(group):
+        group.add_argument(
             "-i", "--instance", metavar="JSON",
             help="inline instance: JSON array of value strings in feature order",
         )
-        p.add_argument(
+        group.add_argument(
             "--instances", metavar="CSV",
             help="CSV file of instances with a header of feature names",
         )
 
     def add_sources(p, path_help):
-        p.add_argument("--path", metavar="ID", help=path_help)
-        add_instance_source(p)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--path", metavar="ID", help=path_help)
+        add_instance_source(group)
         p.add_argument(
             "--mode", choices=("restricted", "unrestricted"),
             help="candidate literals: the tree path's (restricted) or the "
@@ -109,12 +110,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("classify", help="route an instance to its leaf")
     add_common(p)
-    add_instance_source(p)
+    add_instance_source(p.add_mutually_exclusive_group())
 
     p = sub.add_parser("redundancy", help="per-path redundancy verdicts")
     add_common(p)
-    p.add_argument("--path", metavar="ID", help="audit a single path, e.g. P2")
-    p.add_argument("--all", action="store_true", help="audit every path (default)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--path", metavar="ID", help="audit a single path, e.g. P2")
+    group.add_argument("--all", action="store_true", help="audit every path (default)")
 
     p = sub.add_parser("explain", help="extract one PI-explanation")
     add_common(p)
@@ -143,26 +145,20 @@ def build_parser() -> _Parser:
 def _sources(
     tree: DecisionTree, args
 ) -> tuple[list[tuple[str, object, object]], bool]:
-    """The (mode, source, point) triples named by --path/--all,
-    -i/--instances and --mode, and whether the flags name a single source:
-    -i and --path do, --instances and --all (or neither, for
+    """The (mode, source, point) triples named by --mode and the one source
+    flag the parser's exclusive groups let through, and whether it names a
+    single source: -i and --path do, --instances and --all (or none, for
     ``redundancy``) name a list.  ``point`` is the instance the source
     came from, None for a tree path named by its id."""
     flags = vars(args)
     path_id, mode = flags.get("path"), flags.get("mode")
     instance, rows = flags.get("instance"), flags.get("instances")
-    if path_id and flags.get("all"):
-        raise UsageError("use either --path or --all, not both")
-    if path_id and (instance or rows):
-        raise UsageError("use either --path or an instance source, not both")
-    if path_id:
+    if path_id is not None:
         if mode == "unrestricted":
             raise UsageError("unrestricted mode needs an instance source, not --path")
         return [(PATH_RESTRICTED, tree.path(path_id), None)], True
     if "all" in flags:  # redundancy: every path unless --path
         return [(PATH_RESTRICTED, path, None) for path in tree.paths], False
-    if instance is not None and rows is not None:
-        raise UsageError("use either --instance or --instances, not both")
     if instance is not None:
         points = [parse_instance_json(tree.space, instance)]
     elif rows is not None:

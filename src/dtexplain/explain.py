@@ -46,7 +46,7 @@ from .model import (
     Instance,
     Literal,
     TreePath,
-    _check_in_space,
+    _check_literal_set,
     _point_literals,
     classify,
 )
@@ -151,9 +151,7 @@ def entails(tree: DecisionTree, literals: Iterable[Literal], class_id: int) -> b
     ``class_id``; a single root-down traversal pruning disjoint edges.
     Raises ValueError for a literal outside the tree's feature space or
     two literals on one feature."""
-    literals = _check_in_space(tree._full, literals)
-    if len({lit.feature for lit in literals}) < len(literals):
-        raise ValueError("more than one literal for a feature")
+    literals = _check_literal_set(tree._full, literals)
     return not _contrary_leaf(tree, 0, class_id, _allowed(tree, literals))[0]
 
 

@@ -369,6 +369,19 @@ def _check_in_space(
     return literals
 
 
+def _check_literal_set(
+    full: list[int], literals: Iterable[Literal]
+) -> tuple[Literal, ...]:
+    """:func:`_check_in_space`, and at most one literal per feature, as an
+    entailment query and an enumeration universe need."""
+    literals = _check_in_space(full, literals)
+    features = [lit.feature for lit in literals]
+    if len(set(features)) < len(features):
+        repeated = max(features, key=features.count)
+        raise ValueError(f"more than one literal for feature index {repeated}")
+    return literals
+
+
 def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ...]:
     """The equality literals of a point, one per feature in feature order;
     equal points get the same literal objects."""
@@ -565,15 +578,15 @@ class DecisionTree:
         ``_classes`` (bit ``c`` for each class of a leaf at or below it)
         and the five ``_preorder`` lists, which summarise the subtree's
         preorder walk, edges in declaration order: the class of its first
-        leaf; the number of nodes the walk enters up to that leaf
-        (inclusive) and the features they test, as a bit mask; and the
-        same two up to the first leaf of another class (over the whole
-        subtree when there is none).  Together they tell, for any target
-        class, where the walk meets its first contrary leaf."""
+        leaf (``_class`` itself); the number of nodes the walk enters up
+        to that leaf (inclusive) and the features they test, as a bit
+        mask; and the same two up to the first leaf of another class (over
+        the whole subtree when there is none).  Together they tell, for
+        any target class, where the walk meets its first contrary leaf."""
         n = len(self.nodes)
         ids = self._ids = []
         feature = self._feature = [-1] * n
-        leaf_class = self._class = [-1] * n
+        first = self._class = [-1] * n
         parent = self._parent = [-1] * n
         edge_mask = self._edge = [-1] * n
         above = self._above = [0] * n
@@ -600,7 +613,7 @@ class DecisionTree:
                 lits = lits[:k] + (Literal(f, mask),) + lits[k + 1 :]
             node = self.nodes[node_id]
             if isinstance(node, Leaf):
-                c = leaf_class[i] = node.class_id
+                c = first[i] = node.class_id
                 counters[c] += 1
                 pid = self._path_prefix(c) + str(counters[c])
                 leaf_path[i] = TreePath(self, pid, i, c, lits, depth)
@@ -627,8 +640,7 @@ class DecisionTree:
         # is i; numbered after i, they are done first in reverse order
         end = self._end = list(range(1, n + 1))
         below = self._below = [1 << f if f >= 0 else 0 for f in feature]
-        classes = self._classes = [1 << c if c >= 0 else 0 for c in leaf_class]
-        first = leaf_class[:]
+        classes = self._classes = [1 << c if c >= 0 else 0 for c in first]
         first_count, other_count = [1] * n, [1] * n
         first_tested, other_tested = below[:], below[:]
         for i in range(n - 1, -1, -1):

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .explain import Explanation
-from .model import DecisionTree, Leaf, Literal, TreePath, _check_in_space
+from .model import DecisionTree, Leaf, Literal, TreePath, _check_literal_set
 
 __all__ = [
     "OracleBudget",
@@ -126,13 +126,8 @@ class BruteForceOracle:
         """Exhaustive entailment: every point consistent with the literals
         classifies to ``class_id``.  Raises ValueError for a literal outside
         the tree's feature space and for two literals on one feature."""
-        consistent, seen = self._all_points, set()
-        for lit in _check_in_space(self.tree._full, literals):
-            if lit.feature in seen:
-                raise ValueError(
-                    f"more than one literal for feature index {lit.feature}"
-                )
-            seen.add(lit.feature)
+        consistent = self._all_points
+        for lit in _check_literal_set(self.tree._full, literals):
             consistent &= self._selection(lit.feature, lit.mask)
         return not consistent & self._contrary(class_id)
 
@@ -142,15 +137,12 @@ class BruteForceOracle:
         """All subset-minimal entailing subsets of the universe, by an
         ascending-cardinality sweep that skips every superset of an
         entailing subset, on int masks of universe indices."""
-        universe = _check_in_space(self.tree._full, universe)
+        universe = _check_literal_set(self.tree._full, universe)
         if len(universe) > self.budget.max_universe:
             raise BudgetExceededError(
                 f"universe has {len(universe)} literals, "
                 f"budget allows {self.budget.max_universe}"
             )
-        feats = [lit.feature for lit in universe]
-        if len(set(feats)) != len(feats):
-            raise ValueError("universe must hold one literal per feature")
         selections = [self._selection(lit.feature, lit.mask) for lit in universe]
         contrary = self._contrary(class_id)
         bits = [1 << i for i in range(len(universe))]

@@ -52,6 +52,14 @@ def path_steps(tree, end: int) -> list[tuple[int, int]]:
     return steps
 
 
+def lowest_point(tree, path) -> tuple[int, ...]:
+    """The path's point with each feature at the lowest value it allows."""
+    point = [0] * len(tree.space)
+    for lit in path.literals:
+        point[lit.feature] = (lit.mask & -lit.mask).bit_length() - 1
+    return tuple(point)
+
+
 _NODE_NUMBERS = weakref.WeakKeyDictionary()
 
 
@@ -140,3 +148,22 @@ def or_of_ands_tree(k: int, m: int) -> DecisionTree:
         return tests[0]
 
     return DecisionTree(space, ("0", "1"), terms(0), nodes)
+
+
+def one_edge_split_tree() -> DecisionTree:
+    """x in {a, b, c} and y in {0, 1}.  The root tests x with one edge
+    that covers its whole domain, so every path's literal on x starts as
+    the whole domain.  Below it, y=1 leads to a class-1 leaf and y=0 to a
+    re-test of x, which is entered with the whole domain of x still
+    allowed: x=a leads to a class-1 leaf and x in {b, c} to a class-0
+    leaf."""
+    space = FeatureSpace.from_pairs((("x", ("a", "b", "c")), ("y", ("0", "1"))))
+    nodes = {
+        "root": Split(0, (Edge(frozenset({0, 1, 2}), "y"),)),
+        "y": Split(1, (Edge(frozenset({0}), "again"), Edge(frozenset({1}), "yes"))),
+        "again": Split(0, (Edge(frozenset({0}), "a"), Edge(frozenset({1, 2}), "bc"))),
+        "yes": Leaf(1),
+        "a": Leaf(1),
+        "bc": Leaf(0),
+    }
+    return DecisionTree(space, ("0", "1"), "root", nodes)

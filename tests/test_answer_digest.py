@@ -12,7 +12,7 @@ are hashed sorted."""
 import hashlib
 import random
 
-from conftest import FIXTURE_NAMES, comb_tree, load_tree, or_chain_tree
+from conftest import FIXTURE_NAMES, comb_tree, load_tree, lowest_point, or_chain_tree
 
 from dtexplain import (
     PATH_RESTRICTED,
@@ -44,14 +44,6 @@ def canonical(explanation) -> str:
 
 def enumeration(tree, source, mode) -> str:
     return repr([canonical(e) for e in enumerate_pi_explanations(tree, source, mode)])
-
-
-def lowest_point(tree, path) -> tuple[int, ...]:
-    """The path's point with each feature at the lowest value it allows."""
-    point = [0] * len(tree.space)
-    for lit in path.literals:
-        point[lit.feature] = (lit.mask & -lit.mask).bit_length() - 1
-    return tuple(point)
 
 
 def answer_lines(name, tree):

@@ -11,10 +11,10 @@ import sys
 
 import pytest
 
-from conftest import fixture_path, load_tree
+from conftest import fixture_path, load_tree, one_edge_split_tree
 
 import dtexplain
-from dtexplain import BruteForceOracle, Literal, random_instance
+from dtexplain import BruteForceOracle, Literal, random_instance, serialize_tree
 from dtexplain.cli import run
 from dtexplain.explain import Explanation, RedundancyResult
 
@@ -451,11 +451,36 @@ def test_selftest_rejects_bad_counts(capsys, count):
 def test_conflicting_instance_sources(capsys, tmp_path):
     rows = tmp_path / "rows.csv"
     rows.write_text("x1,x2\n0,0\n", encoding="utf-8")
-    code, _, _ = invoke(
+    code, _, err = invoke(
         capsys, "classify", "-t", fixture_path("or_tree"),
         "-i", '["0", "0"]', "--instances", str(rows),
     )
     assert code == 1
+    assert "argument --instances: not allowed with argument -i/--instance" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("explain", "--path", "P1", "-i", ""),
+        ("explain", "--path", "P1", "--instances", ""),
+        ("enumerate", "--path", "P1", "--instances", ""),
+        ("redundancy", "--path", "P1", "--all"),
+    ],
+)
+def test_source_flags_exclude_each_other_even_when_empty(capsys, argv):
+    """The parser refuses a second source flag, set to '' or not, before
+    any file is read."""
+    code, out, err = invoke(capsys, argv[0], "-t", fixture_path("or_tree"), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("dtexplain: usage error: argument ")
+    assert "not allowed with argument" in err.splitlines()[0]
+
+
+def test_an_empty_path_id_is_looked_up(capsys):
+    code, out, err = invoke(capsys, "explain", "-t", fixture_path("or_tree"), "--path", "")
+    assert (code, out) == (2, "")
+    assert err == "dtexplain: error: no path named ''\n"
 
 
 # -- verification ----------------------------------------------------------------------
@@ -475,6 +500,28 @@ def test_verify_passes_on_fixture(capsys, argv):
         capsys, argv[0], "-t", fixture_path("or_tree"), *argv[1:], "--verify"
     )
     assert code == 0
+
+
+def test_verify_passes_below_a_one_edge_split(capsys, tmp_path):
+    """Every command verifies on a tree whose root has one edge, covering
+    the whole domain of x, and re-tests x below it."""
+    tree = one_edge_split_tree()
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(serialize_tree(tree), encoding="utf-8")
+    rows = tmp_path / "rows.csv"
+    points = "".join(f"{x},{y}\n" for x in "abc" for y in "01")
+    rows.write_text("x,y\n" + points, encoding="utf-8")
+    argvs = [("stats",), ("redundancy",), ("classify", "--instances", str(rows))]
+    for command in ("explain", "enumerate"):
+        argvs += [(command, "--path", path.path_id) for path in tree.paths]
+        for mode in ("restricted", "unrestricted"):
+            argvs.append((command, "--instances", str(rows), "--mode", mode))
+    for argv in argvs:
+        code, out, err = invoke(
+            capsys, argv[0], "-t", str(tree_file), *argv[1:], "--verify"
+        )
+        assert (code, err) == (0, ""), argv
+        assert out
 
 
 def test_verify_stats(capsys):

@@ -550,6 +550,16 @@ def test_preorder_summaries_match_a_direct_walk():
         assert list(stored) == want
 
 
+def test_one_class_list_holds_leaf_and_first_leaf_classes():
+    """``_class`` is the first-leaf-class summary itself, and a leaf's
+    entry is its own class."""
+    for tree in scan_battery():
+        assert tree._preorder[0] is tree._class
+        for i, node_id in enumerate(tree._ids):
+            if tree._feature[i] < 0:
+                assert tree._class[i] == tree.nodes[node_id].class_id
+
+
 def test_or_chain_scans_make_no_lookup(monkeypatch):
     """Every off-path subtree of an OR-chain path is a leaf or the rest of
     the chain below the path, whose features the path does not narrow, so

@@ -5,10 +5,11 @@ import ast
 import itertools
 import pathlib
 import random
+from functools import partial
 
 import pytest
 
-from conftest import FIXTURE_NAMES, literal_names, load_tree
+from conftest import FIXTURE_NAMES, literal_names, load_tree, one_edge_split_tree
 
 import dtexplain
 from dtexplain import (
@@ -27,6 +28,7 @@ from dtexplain import (
     Split,
     check_tree,
     classify,
+    entails,
     enumerate_pi_explanations,
     instance_literals,
     one_pi_explanation_instance,
@@ -179,6 +181,22 @@ def test_queries_are_order_free_repeatable_and_checked():
         oracle.entails([Literal(len(tree.space), 1)], 1)
 
 
+def test_a_repeated_feature_gets_one_message_from_every_checker():
+    """Fast entailment, oracle entailment and oracle enumeration refuse a
+    literal set with two literals on one feature alike, and check the
+    space first."""
+    tree = load_tree("or_of_ands")
+    oracle = BruteForceOracle(tree)
+    repeated = lits(tree, ("x1", 1), ("x3", 1), ("x3", 0))
+    checkers = (partial(entails, tree), oracle.entails, oracle.enumerate_pi)
+    for check in checkers:
+        with pytest.raises(ValueError) as raised:
+            check(repeated, 1)
+        assert str(raised.value) == "more than one literal for feature index 2"
+        with pytest.raises(ValueError, match="outside the feature space"):
+            check([*repeated, Literal(len(tree.space), 1)], 1)
+
+
 # -- the bitset oracle against its definition ------------------------------------
 
 
@@ -297,6 +315,18 @@ def test_entails_on_one_and_zero_feature_spaces():
 
 
 # -- check_tree -----------------------------------------------------------------
+
+
+def test_check_tree_passes_below_a_one_edge_split():
+    """A split whose one edge covers the whole domain gives its paths a
+    whole-domain literal, and a re-test below it is entered with the
+    whole domain allowed."""
+    tree = one_edge_split_tree()
+    literals = tree.path("P2").literals
+    assert [(lit.feature, lit.mask) for lit in literals] == [(0, 0b111), (1, 0b10)]
+    assert tree._above[tree._ids.index("again")] == 0b111
+    stats = check_tree(tree, random.Random(0), n_instances=6)
+    assert (stats.paths, stats.instances) == (3, 6)
 
 
 def test_check_tree_checks_each_classification(monkeypatch):
