@@ -63,11 +63,7 @@ from .hitting import (
     enumerate_mhs,
     enumerate_pi_explanations,
 )
-from .oracle import (
-    BruteForceOracle,
-    BudgetExceededError,
-    OracleBudget,
-)
+from .oracle import BruteForceOracle, BudgetExceededError
 from .report import (
     PathDetail,
     TreeReport,

@@ -286,7 +286,8 @@ def _cmd_stats(args) -> int:
     if args.verify:
         for report in reports:
             oracle = BruteForceOracle(report.tree)
-            for path, detail in zip(report.tree.paths, report.details):
+            for detail in report.details:
+                path = detail.path
                 where = f"{report.label}: {path.path_id}"
                 check_redundancy(oracle, path, detail.verdict, where)
                 check_extraction(

@@ -220,13 +220,11 @@ def _check_point(space: FeatureSpace, point: Instance) -> None:
 
 def make_instance(space: FeatureSpace, values: Sequence) -> Instance:
     """Validate a sequence of value names (or indices) as a space point."""
-    if len(values) != len(space):
-        raise InstanceError(f"expected {len(space)} values, got {len(values)}")
     point = tuple(
         feat.value_index(val) if isinstance(val, str) else val
         for feat, val in zip(space.features, values)
     )
-    _check_point(space, point)
+    _check_point(space, point + tuple(values[len(point) :]))  # zip drops extras
     return point
 
 

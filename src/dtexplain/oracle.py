@@ -5,13 +5,13 @@ points, and reads ``tree.nodes`` with its own code, never the lowered
 lists that the fast paths search, so the two sides can be checked
 against each other.  Each class's points come from one walk over the
 nodes, and entailment queries are answered by bitset algebra.
-Operations refuse inputs beyond the budget instead of degrading.
+The oracle refuses a space of more than ``MAX_POINTS`` points instead
+of degrading.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -19,25 +19,15 @@ from .explain import Explanation
 from .model import DecisionTree, Leaf, Literal, TreePath, _check_literal_set
 
 __all__ = [
-    "OracleBudget",
+    "MAX_POINTS",
     "BudgetExceededError",
     "BruteForceOracle",
 ]
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Caps on feature-space size and candidate-universe size."""
-
-    max_points: int = 10**6
-    max_universe: int = 20
-
-    def __post_init__(self):
-        if self.max_points <= 0 or self.max_universe <= 0:
-            raise ValueError("budget caps must be positive")
-
-
-DEFAULT_BUDGET = OracleBudget()
+# The one budget.  No universe cap is needed: enumerate_pi accepts at
+# most one literal per feature, every feature has at least 2 values and
+# 2**20 > MAX_POINTS, so an accepted universe has at most 19 literals.
+MAX_POINTS = 10**6
 
 
 class BudgetExceededError(ValueError):
@@ -57,13 +47,12 @@ class BruteForceOracle:
     class.
     """
 
-    def __init__(self, tree: DecisionTree, budget: OracleBudget = DEFAULT_BUDGET):
+    def __init__(self, tree: DecisionTree):
         self.tree = tree
-        self.budget = budget
-        if tree.space.point_count() > budget.max_points:
+        if tree.space.point_count() > MAX_POINTS:
             raise BudgetExceededError(
                 f"feature space has {tree.space.point_count()} points, "
-                f"budget allows {budget.max_points}"
+                f"budget allows {MAX_POINTS}"
             )
         self._all_points = (1 << tree.space.point_count()) - 1
         self._others: dict[int, int] | None = None  # per class, by the first query
@@ -138,11 +127,6 @@ class BruteForceOracle:
         ascending-cardinality sweep that skips every superset of an
         entailing subset, on int masks of universe indices."""
         universe = _check_literal_set(self.tree._full, universe)
-        if len(universe) > self.budget.max_universe:
-            raise BudgetExceededError(
-                f"universe has {len(universe)} literals, "
-                f"budget allows {self.budget.max_universe}"
-            )
         selections = [self._selection(lit.feature, lit.mask) for lit in universe]
         contrary = self._contrary(class_id)
         bits = [1 << i for i in range(len(universe))]

@@ -1,10 +1,10 @@
 """Tree-level redundancy statistics.
 
-For every path the report records whether it is explanation-redundant,
-the size of one extracted PI-explanation, and the number of feature-space
-points the path covers.  Tree-level columns follow from those: the share
-of redundant paths, the share of feature space they cover, and the
-min/max/mean percentage of redundant literals per redundant path.
+For every path the report holds its redundancy verdict, one extracted
+PI-explanation and the number of feature-space points the path covers.
+Tree-level columns follow from those: the share of redundant paths, the
+share of feature space they cover, and the min/max/mean percentage of
+redundant literals per redundant path.
 
 Percentages are exact rationals throughout; display values are truncated
 toward zero to whole percent.  Depth counts internal nodes on the longest
@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .explain import PATH_RESTRICTED, Explanation, RedundancyResult
 from .explain import _extract, _scan, _source
-from .model import DecisionTree, TreeFormatError, parse_tree_file, path_point_count
+from .model import DecisionTree, TreeFormatError, TreePath, parse_tree_file
+from .model import path_point_count
 
 __all__ = [
     "PathDetail",
@@ -49,25 +50,33 @@ def _pct(value: Fraction | None) -> dict | None:
 
 @dataclass(frozen=True)
 class PathDetail:
-    path_id: str
-    class_name: str
-    literal_count: int
-    explanation_size: int
-    redundant: bool
-    witness: str | None
-    point_count: int
-    redundant_literal_pct: Fraction | None
-    explanation: Explanation
+    """One path's row: its redundancy verdict, one extracted
+    PI-explanation and the points it covers.  Every column is read off
+    these answers, the objects that ``stats --verify`` checks."""
+
+    path: TreePath
     verdict: RedundancyResult
+    explanation: Explanation
+    point_count: int
+
+    @property
+    def redundant_literal_pct(self) -> Fraction | None:
+        """The share of a redundant path's literals that the explanation drops."""
+        if not self.verdict.redundant:
+            return None
+        count = len(self.path.literals)
+        return Fraction(100 * (count - len(self.explanation.literals)), count)
 
     def to_obj(self) -> dict:
+        path, witness = self.path, self.verdict.witness
+        name = None if witness is None else path.tree.space.feature(witness).name
         return {
-            "path": self.path_id,
-            "class": self.class_name,
-            "literal_count": self.literal_count,
-            "explanation_size": self.explanation_size,
-            "redundant": self.redundant,
-            "witness": self.witness,
+            "path": path.path_id,
+            "class": path.class_name(),
+            "literal_count": len(path.literals),
+            "explanation_size": len(self.explanation.literals),
+            "redundant": self.verdict.redundant,
+            "witness": name,
             "point_count": self.point_count,
             "redundant_literal_pct": _pct(self.redundant_literal_pct),
         }
@@ -112,47 +121,24 @@ def tree_report(tree: DecisionTree, label: str = "tree") -> TreeReport:
     """Audit every path of one tree."""
     space = tree.space
     details = []
-    literal_pcts = []
-    covered = 0
     for path in tree.paths:
         src = _source(tree, path, PATH_RESTRICTED)
         scan = _scan(tree, src)
-        verdict = scan.verdict
         explanation = _extract(tree, src, scan)[0]
         points = path_point_count(space, path.literals)
-        pct = None
-        if verdict.redundant:
-            dropped = len(path.literals) - len(explanation.literals)
-            pct = Fraction(100 * dropped, len(path.literals))
-            literal_pcts.append(pct)
-            covered += points
-        witness = (
-            space.feature(verdict.witness).name if verdict.witness is not None else None
-        )
-        details.append(
-            PathDetail(
-                path_id=path.path_id,
-                class_name=path.class_name(),
-                literal_count=len(path.literals),
-                explanation_size=len(explanation.literals),
-                redundant=verdict.redundant,
-                witness=witness,
-                point_count=points,
-                redundant_literal_pct=pct,
-                explanation=explanation,
-                verdict=verdict,
-            )
-        )
+        details.append(PathDetail(path, scan.verdict, explanation, points))
+    redundant = [d for d in details if d.verdict.redundant]
+    literal_pcts = [d.redundant_literal_pct for d in redundant]
+    covered = sum(d.point_count for d in redundant)
     total = space.point_count()
-    redundant_count = sum(1 for d in details if d.redundant)
     return TreeReport(
         label=label,
         depth=tree.depth,
         node_count=tree.node_count,
         path_count=len(details),
-        redundant_count=redundant_count,
+        redundant_count=len(redundant),
         point_total=total,
-        pct_redundant=Fraction(100 * redundant_count, len(details)),
+        pct_redundant=Fraction(100 * len(redundant), len(details)),
         pct_coverage=Fraction(100 * covered, total),
         literal_pct_min=min(literal_pcts) if literal_pcts else None,
         literal_pct_max=max(literal_pcts) if literal_pcts else None,

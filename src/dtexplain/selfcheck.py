@@ -68,15 +68,15 @@ def _check_minimal(entails_fn, literals, target, label: str | None = None) -> No
     """Raise :class:`OracleMismatch` unless ``literals`` entail ``target``
     under ``entails_fn(literals, target)`` and no literal can be dropped;
     ``label``, if given, prefixes the message."""
-    where = f"{label}: " if label else ""
-    if not entails_fn(literals, target):
-        raise OracleMismatch(f"{where}explanation does not entail the prediction")
+    detail = "explanation does not entail the prediction"
+    _require(entails_fn(literals, target), label, detail)
     for lit in literals:
-        if entails_fn(literals - {lit}, target):
-            raise OracleMismatch(
-                f"{where}explanation is not subset-minimal "
-                f"(droppable literal on feature index {lit.feature})"
-            )
+        _require(
+            not entails_fn(literals - {lit}, target),
+            label,
+            "explanation is not subset-minimal "
+            f"(droppable literal on feature index {lit.feature})",
+        )
 
 
 def check_classification(

@@ -7,8 +7,8 @@ from dtexplain import (
     Edge,
     FeatureSpace,
     Leaf,
-    OracleBudget,
     Split,
+    oracle,
     parse_tree_file,
     random_tree,
 )
@@ -78,12 +78,11 @@ def node_edges(tree, node: int) -> list[tuple[int, int]]:
 
 def oversized_trees():
     """Six random trees whose feature space the brute-force oracle refuses."""
-    budget = OracleBudget().max_points
     trees = (
         random_tree(seed, max_features=12, max_domain=5, max_depth=6)
         for seed in range(200)
     )
-    oversized = [t for t in trees if t.space.point_count() > budget][:6]
+    oversized = [t for t in trees if t.space.point_count() > oracle.MAX_POINTS][:6]
     assert len(oversized) == 6
     return oversized
 

@@ -135,7 +135,7 @@ def test_criterion_2_case_study_redundancy():
         assert report.redundant_count == len(redundant_sets), name
         assert report.path_count == len(redundant_sets) + len(irredundant_sets)
         by_literals = {
-            literal_names(tree, tree.path(d.path_id).literals): d.redundant
+            literal_names(tree, tree.path(d.path.path_id).literals): d.verdict.redundant
             for d in report.details
         }
         for wanted in redundant_sets:
@@ -143,7 +143,7 @@ def test_criterion_2_case_study_redundancy():
         for wanted in irredundant_sets:
             assert by_literals[frozenset(wanted)] is False, (name, wanted)
         for d in report.details:
-            emit(tree, d.explanation, tree.path(d.path_id).literals)
+            emit(tree, d.explanation, tree.path(d.path.path_id).literals)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     ok(2, f"case studies give %R = 25, 50, 33 with the published "

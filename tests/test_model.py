@@ -554,7 +554,6 @@ def test_mutated_large_documents_fail_only_as_tree_format_errors(shape, seed, da
     budget answers entailment and instance extraction as the oracle does."""
     from dtexplain import (
         BruteForceOracle,
-        OracleBudget,
         entails,
         instance_literals,
         one_pi_explanation_instance,
@@ -575,7 +574,7 @@ def test_mutated_large_documents_fail_only_as_tree_format_errors(shape, seed, da
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = run(["explain", "-t", path, "-i", point])
     assert 0 <= code <= 4
-    if tree is None or tree.space.point_count() > OracleBudget().max_points:
+    if tree is None or tree.space.point_count() > dtexplain.oracle.MAX_POINTS:
         return
     oracle = BruteForceOracle(tree)
     instance = tuple(rng.randrange(len(f.domain)) for f in tree.space.features)
@@ -620,11 +619,12 @@ def test_classify_bad_instance():
     "point, message",
     [
         ((0,), "expected 3 values, got 1"),
+        ((0, 0, 0, 0), "expected 3 values, got 4"),
         ((0, 0, 7), "value index 7 out of range for feature 'Wind'"),
         ((0, -1, 0), "value index -1 out of range for feature 'Outlook'"),
         ((0, "sunny", 0), "value index 'sunny' out of range for feature 'Outlook'"),
     ],
-    ids=["one-value", "past-the-domain", "negative", "not-an-index"],
+    ids=["one-value", "too-long", "past-the-domain", "negative", "not-an-index"],
 )
 def test_instance_literals_rejects_bad_points(point, message):
     """A point of the wrong length or with a value index outside its
@@ -660,6 +660,22 @@ def test_an_instance_query_checks_the_point_once(monkeypatch):
         for point in [(0,), (0, 0, 7), (0, -1, 0)]:
             with pytest.raises(InstanceError):
                 query(point)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["high"], ["high", "sunny", "weak", "weak"]],
+    ids=["one-value", "too-long"],
+)
+def test_make_instance_counts_every_value(values):
+    """A value list of the wrong length is refused by its count, too
+    long as well as too short, from names and from JSON alike."""
+    tree = load_tree("play_tennis")
+    message = f"expected 3 values, got {len(values)}"
+    with pytest.raises(InstanceError, match=message):
+        make_instance(tree.space, values)
+    with pytest.raises(InstanceError, match=message):
+        parse_instance_json(tree.space, json.dumps(values))
 
 
 def test_make_instance_rejects_a_fractional_index():

@@ -23,7 +23,6 @@ from dtexplain import (
     FeatureSpace,
     Leaf,
     Literal,
-    OracleBudget,
     OracleMismatch,
     Split,
     check_tree,
@@ -95,24 +94,29 @@ def test_bf_is_redundant_examples():
     assert BruteForceOracle(pairs).is_redundant(pairs.path("P2"))
 
 
+def one_split_tree(n: int) -> DecisionTree:
+    """x1 decides the class; x2 ... x<n> are never tested."""
+    space = FeatureSpace.from_pairs((f"x{k + 1}", ("0", "1")) for k in range(n))
+    edges = (Edge(frozenset({0}), "a"), Edge(frozenset({1}), "b"))
+    nodes = {"root": Split(0, edges), "a": Leaf(0), "b": Leaf(1)}
+    return DecisionTree(space, ("0", "1"), "root", nodes)
+
+
 def test_budget_points_enforced():
-    tree = load_tree("or_tree")  # 4 points
-    with pytest.raises(BudgetExceededError):
-        BruteForceOracle(tree, OracleBudget(max_points=3)).entails([], 1)
-    oracle = BruteForceOracle(tree, OracleBudget(max_points=4))
-    assert oracle.entails(lits(tree, ("x1", 1)), 1)
+    """2**20 binary points exceed the one limit, MAX_POINTS."""
+    assert 2**19 <= dtexplain.oracle.MAX_POINTS < 2**20
+    with pytest.raises(BudgetExceededError) as info:
+        BruteForceOracle(one_split_tree(20))
+    assert str(info.value) == "feature space has 1048576 points, budget allows 1000000"
 
 
-def test_budget_universe_enforced():
-    tree = load_tree("or_of_ands")
-    universe = tree.path("P2").literals
-    with pytest.raises(BudgetExceededError):
-        BruteForceOracle(tree, OracleBudget(max_universe=3)).enumerate_pi(universe, 1)
-
-
-def test_budget_caps_positive():
-    with pytest.raises(ValueError):
-        OracleBudget(max_points=0)
+def test_oracle_answers_the_largest_universe_it_accepts():
+    """19 binary features fit the budget, so a query holding one literal
+    per feature, the largest that a universe can be, is answered."""
+    tree = one_split_tree(19)
+    assert tree.space.point_count() == 524288
+    point = (1,) + (0,) * 18
+    assert BruteForceOracle(tree).entails(instance_literals(tree.space, point), 1)
 
 
 def test_duplicate_feature_universe_rejected():

@@ -1,6 +1,8 @@
-"""Project files: the CI workflow and the supported Python versions."""
+"""Project files: the CI workflow, the supported Python versions and the
+modules' export lists."""
 
 import ast
+import importlib
 import pathlib
 import re
 
@@ -33,6 +35,28 @@ def test_ci_runs_the_tier_1_command_from_the_lowest_python_up():
     assert versions[0] == "%d.%d" % lowest_python()
     runs = [step["run"] for step in job["steps"] if "run" in step]
     assert runs == ["pip install pytest hypothesis", TIER_1, BENCHMARK_ONCE]
+
+
+MODULES = sorted(
+    path.stem
+    for path in (ROOT / "src" / "dtexplain").glob("*.py")
+    if not path.stem.startswith("__")
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    """A name left in ``__all__`` after its definition is gone fails
+    here, and so does ``import *``."""
+    module = importlib.import_module(f"dtexplain.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+    exec(f"from dtexplain.{name} import *", {})
+
+
+def test_the_export_check_covers_every_module():
+    assert MODULES == [
+        "cli", "explain", "hitting", "model", "oracle", "randtree", "report", "selfcheck"
+    ]
 
 
 def test_every_module_parses_as_the_lowest_python():

@@ -42,8 +42,8 @@ def test_cross_circle_report():
     assert report.redundant_count == 1
     assert report.pct_redundant == Fraction(100, 3)
     assert display_pct(report.pct_redundant) == 33
-    redundant = [d for d in report.details if d.redundant]
-    assert len(redundant) == 1 and redundant[0].path_id == "P2"
+    redundant = [d for d in report.details if d.verdict.redundant]
+    assert len(redundant) == 1 and redundant[0].path.path_id == "P2"
     path = tree.path("P2")
     assert literal_names(tree, path.literals) == {"y>0.73=N", "x>0.64=Y"}
     assert report.pct_coverage == Fraction(25)
@@ -64,11 +64,12 @@ def test_or_chain_report_closed_forms(d):
     assert report.literal_pct_max == Fraction(100 * (d - 1), d)
     assert report.literal_pct_mean == 100 * (1 - (harmonic - 1) / (d - 1))
     for detail in report.details:
-        if detail.class_name == "1":
-            assert detail.explanation_size == 1
+        size = len(detail.explanation.literals)
+        if detail.path.class_name() == "1":
+            assert size == 1
         else:
-            assert not detail.redundant
-            assert detail.explanation_size == detail.literal_count == d
+            assert not detail.verdict.redundant
+            assert size == len(detail.path.literals) == d
 
 
 def parity_tree(k: int) -> DecisionTree:
@@ -103,7 +104,7 @@ def test_parity_report_closed_forms(k):
     assert report.literal_pct_max is None
     assert report.literal_pct_mean is None
     for detail in report.details:
-        assert len(detail.explanation.literals) == detail.explanation_size == k
+        assert len(detail.explanation.literals) == len(detail.path.literals) == k
         assert detail.point_count == 1
     rng = random.Random(k)
     paths = tree.paths if k < 12 else rng.sample(tree.paths, 64)
@@ -131,10 +132,11 @@ def test_or_of_ands_report_closed_forms(k, m):
         nodes = m + m * nodes + 1
     assert tree.node_count == nodes
     report = tree_report(tree, f"or_of_ands-{k}x{m}")
-    classes = Counter(detail.class_name for detail in report.details)
+    classes = Counter(detail.path.class_name() for detail in report.details)
     assert classes == {"1": sum(m**j for j in range(k)), "0": m**k}
     for detail in report.details:
-        assert detail.explanation_size == (m if detail.class_name == "1" else k)
+        size = len(detail.explanation.literals)
+        assert size == (m if detail.path.class_name() == "1" else k)
     assert report.redundant_count == report.path_count - 2
     rng = random.Random(k * m)
     seen = set()
@@ -180,7 +182,7 @@ def test_display_truncates_toward_zero():
 def test_report_is_recomputable_and_exact():
     tree = load_tree("or_of_ands")
     report = tree_report(tree, "t")
-    redundant = [d for d in report.details if d.redundant]
+    redundant = [d for d in report.details if d.verdict.redundant]
     assert report.pct_redundant == Fraction(
         100 * len(redundant), report.path_count
     )
@@ -189,11 +191,11 @@ def test_report_is_recomputable_and_exact():
     assert report.pct_coverage == Fraction(100 * covered, report.point_total)
     for d in redundant:
         assert d.redundant_literal_pct > 0
-        assert d.explanation_size < d.literal_count
+        assert len(d.explanation.literals) < len(d.path.literals)
     for d in report.details:
-        if not d.redundant:
+        if not d.verdict.redundant:
             assert d.redundant_literal_pct is None
-            assert d.explanation_size == d.literal_count
+            assert d.explanation.literals == d.path.literal_set()
 
 
 def test_no_redundant_paths_reports_absent_stats():
