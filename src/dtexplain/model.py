@@ -145,9 +145,6 @@ class Feature:
                 f"feature {self.name!r} has no value {value!r}"
             ) from None
 
-    def all_values(self) -> frozenset[int]:
-        return frozenset(range(len(self.domain)))
-
 
 class FeatureSpace:
     """An ordered list of features; the cartesian product of their domains."""
@@ -389,8 +386,18 @@ def instance_literals(space: FeatureSpace, point: Instance) -> tuple[Literal, ..
 
 @dataclass(frozen=True, slots=True)
 class Edge:
-    values: frozenset[int]
+    """An int value mask, as a :class:`Literal` holds, and the child's id."""
+
+    mask: int
     child: str
+
+    def __post_init__(self):
+        if not isinstance(self.mask, int):
+            raise TypeError(f"an edge takes an int value mask, not {self.mask!r}")
+
+    @property
+    def values(self) -> frozenset[int]:
+        return _bits(self.mask)
 
 
 @dataclass(frozen=True, slots=True)
@@ -492,21 +499,21 @@ class DecisionTree:
             feat = self.space.feature(node.feature)
             if not node.edges:
                 raise EdgeCoverageError(f"node {node_id!r} has no edges")
-            seen: set[int] = set()
+            full, seen = self._full[node.feature], 0
             for edge in node.edges:
-                if not edge.values:
+                if edge.mask <= 0:
                     raise TreeSchemaError(f"node {node_id!r}: edge with no values")
-                bad = [v for v in edge.values if not 0 <= v < len(feat.domain)]
+                bad = edge.mask & ~full  # values past the domain; name the lowest
                 if bad:
                     raise UnknownValueError(
-                        f"node {node_id!r}: value index {bad[0]} outside the "
-                        f"domain of {feat.name!r}"
+                        f"node {node_id!r}: value index {(bad & -bad).bit_length() - 1}"
+                        f" outside the domain of {feat.name!r}"
                     )
-                if seen & edge.values:
+                if seen & edge.mask:
                     raise EdgeOverlapError(
                         f"node {node_id!r}: non-disjoint edges on {feat.name!r}"
                     )
-                seen |= edge.values
+                seen |= edge.mask
                 if edge.child not in self.nodes:
                     raise DanglingChildError(
                         f"node {node_id!r}: child {edge.child!r} does not exist"
@@ -517,9 +524,8 @@ class DecisionTree:
                     elif edge.child in parents:
                         clash = f"node {edge.child!r} has more than one parent"
                 parents[edge.child] = node_id
-            if seen != set(range(len(feat.domain))):
-                missing = sorted(set(range(len(feat.domain))) - seen)
-                names = ", ".join(feat.domain[v] for v in missing)
+            if seen != full:
+                names = ", ".join(feat.domain[v] for v in sorted(_bits(full & ~seen)))
                 raise EdgeCoverageError(
                     f"node {node_id!r}: non-covering edges on {feat.name!r} "
                     f"(missing {names})"
@@ -626,7 +632,7 @@ class DecisionTree:
             # push in reverse so edges pop in declaration order
             for e in range(len(node.edges) - 1, -1, -1):
                 edge = node.edges[e]
-                mask = _mask(edge.values) & reach
+                mask = edge.mask & reach
                 if not mask:
                     empty = empty or (node_id, e, f)
                     continue
@@ -817,7 +823,6 @@ def parse_tree(text: str) -> DecisionTree:
 
     nodes: dict[str, Node] = {}
     leaves = [Leaf(c) for c in range(len(classes))]
-    value_sets: dict[frozenset[int], frozenset[int]] = {}  # one object per set
     names = {node_id: node_id for node_id in doc["nodes"]}  # one per node id
     for node_id in names:
         obj = doc["nodes"].pop(node_id)  # freed once read, before lowering
@@ -857,10 +862,8 @@ def parse_tree(text: str) -> DecisionTree:
                 raise TreeSchemaError(
                     f"node {node_id!r} edge #{j}: child must be a node id string"
                 )
-            value_set = frozenset(feat.value_index(v) for v in values)
-            value_set = value_sets.setdefault(value_set, value_set)
             child = names.get(eobj["child"], eobj["child"])
-            edges.append(Edge(value_set, child))
+            edges.append(Edge(_mask(map(feat.value_index, values)), child))
         nodes[node_id] = Split(feat.index, tuple(edges))
 
     return DecisionTree(space, classes, doc["root"], nodes)

@@ -16,7 +16,9 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .explain import Explanation
-from .model import DecisionTree, Leaf, Literal, TreePath, _check_literal_set
+from .model import (
+    DecisionTree, Leaf, Literal, TreePath, _check_literal_set, _check_point
+)
 
 __all__ = [
     "MAX_POINTS",
@@ -59,13 +61,14 @@ class BruteForceOracle:
         self._selections: list[dict[int, int]] = [{} for _ in tree.space.features]
 
     def _walk(self, point: Sequence[int]) -> str:
-        """The id of the leaf that ``point`` reaches."""
+        """The id of the leaf that ``point`` reaches, after :func:`_check_point`."""
+        _check_point(self.tree.space, point)
         nodes = self.tree.nodes
         node_id = self.tree.root
         while not isinstance(node := nodes[node_id], Leaf):
             value = point[node.feature]
             for edge in node.edges:
-                if value in edge.values:
+                if edge.mask >> value & 1:
                     node_id = edge.child
                     break
         return node_id
@@ -86,8 +89,7 @@ class BruteForceOracle:
                     reach[node.class_id] |= points
                     continue
                 for edge in node.edges:
-                    mask = sum(1 << v for v in edge.values)
-                    edge_points = points & self._selection(node.feature, mask)
+                    edge_points = points & self._selection(node.feature, edge.mask)
                     if edge_points:
                         stack.append((edge.child, edge_points))
             self._others = {c: self._all_points & ~r for c, r in enumerate(reach)}

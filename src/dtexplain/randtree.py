@@ -40,49 +40,41 @@ def random_tree(
 
     nodes: dict[str, Leaf | Split] = {}
     leaves = [Leaf(c) for c in range(n_classes)]
-    cell_sets: dict[frozenset[int], frozenset[int]] = {}  # one object per set
     counter = [0]
 
     def fresh_id() -> str:
         counter[0] += 1
         return f"n{counter[0]}"
 
-    def partition(feature: int, allowed: frozenset[int]) -> list[frozenset[int]]:
-        """Split the feature's full domain so every cell meets ``allowed``."""
-        domain = list(range(len(space.feature(feature).domain)))
-        anchors = sorted(allowed)
+    def partition(feature: int, allowed: int) -> list[int]:
+        """Split the feature's domain into value masks that each meet ``allowed``."""
+        domain = range(len(space.feature(feature).domain))
+        anchors = [v for v in domain if allowed >> v & 1]
         rng.shuffle(anchors)
-        n_cells = rng.randint(2, len(anchors)) if len(anchors) > 1 else 1
-        if n_cells < 2:
-            return []  # cannot split without stranding a branch
-        cells = [{anchors[i]} for i in range(n_cells)]
+        n_cells = rng.randint(2, len(anchors))  # a candidate allows 2 or more
+        cells = [1 << a for a in anchors[:n_cells]]
         for value in domain:
-            if value in allowed and value in {a for c in cells for a in c}:
-                continue
-            cells[rng.randrange(n_cells)].add(value)
-        return [cell_sets.setdefault(c, c) for c in map(frozenset, cells)]
+            if value not in anchors[:n_cells]:
+                cells[rng.randrange(n_cells)] |= 1 << value
+        return cells
 
-    def build(depth: int, allowed: dict[int, frozenset[int]]) -> str:
+    def build(depth: int, allowed: list[int]) -> str:
         node_id = fresh_id()
         leaf_chance = 0.06 + 0.16 * depth
-        candidates = [f for f, vals in allowed.items() if len(vals) >= 2]
+        candidates = [f for f, mask in enumerate(allowed) if mask.bit_count() >= 2]
         if depth >= depth_limit or not candidates or rng.random() < leaf_chance:
             nodes[node_id] = leaves[rng.randrange(n_classes)]
             return node_id
         feature = rng.choice(candidates)
-        cells = partition(feature, allowed[feature])
-        if not cells:
-            nodes[node_id] = leaves[rng.randrange(n_classes)]
-            return node_id
         edges = []
-        for cell in cells:
-            narrowed = dict(allowed)
-            narrowed[feature] = allowed[feature] & cell
+        for cell in partition(feature, allowed[feature]):
+            narrowed = allowed[:]
+            narrowed[feature] &= cell
             edges.append(Edge(cell, build(depth + 1, narrowed)))
         nodes[node_id] = Split(feature, tuple(edges))
         return node_id
 
-    root = build(0, {f.index: f.all_values() for f in space.features})
+    root = build(0, space._full)
     return DecisionTree(space, classes, root, nodes)
 
 

@@ -73,7 +73,7 @@ def node_edges(tree, node: int) -> list[tuple[int, int]]:
     split = tree.nodes[tree._ids[node]]
     if isinstance(split, Leaf):
         return []
-    return [(numbers[e.child], sum(1 << v for v in e.values)) for e in split.edges]
+    return [(numbers[e.child], e.mask) for e in split.edges]
 
 
 def oversized_trees():
@@ -95,7 +95,7 @@ def or_chain_tree(depth: int) -> DecisionTree:
     nodes = {"none": Leaf(0)}
     for k in range(depth):
         nxt = f"c{k + 1}" if k + 1 < depth else "none"
-        edges = (Edge(frozenset({0}), nxt), Edge(frozenset({1}), f"hit{k + 1}"))
+        edges = (Edge(0b1, nxt), Edge(0b10, f"hit{k + 1}"))
         nodes[f"c{k}"] = Split(k, edges)
         nodes[f"hit{k + 1}"] = Leaf(1)
     return DecisionTree(space, ("0", "1"), "c0", nodes)
@@ -112,9 +112,9 @@ def comb_tree(n: int) -> DecisionTree:
     nodes = {"none": Leaf(0)}
     for k in range(n):
         nxt = f"c{k + 1}" if k + 1 < n else "none"
-        edges = (Edge(frozenset({0}), nxt), Edge(frozenset({1}), f"y{k}"))
+        edges = (Edge(0b1, nxt), Edge(0b10, f"y{k}"))
         nodes[f"c{k}"] = Split(k, edges)
-        y_edges = (Edge(frozenset({0}), f"miss{k}"), Edge(frozenset({1}), f"hit{k}"))
+        y_edges = (Edge(0b1, f"miss{k}"), Edge(0b10, f"hit{k}"))
         nodes[f"y{k}"] = Split(n, y_edges)
         nodes[f"miss{k}"] = Leaf(0)
         nodes[f"hit{k}"] = Leaf(1)
@@ -142,7 +142,7 @@ def or_of_ands_tree(k: int, m: int) -> DecisionTree:
         tests = [next(ids) for _ in range(m)]
         nodes[hit := next(ids)] = Leaf(1)
         for j, ones in enumerate(tests[1:] + [hit]):
-            edges = (Edge(frozenset({0}), terms(i + 1)), Edge(frozenset({1}), ones))
+            edges = (Edge(0b1, terms(i + 1)), Edge(0b10, ones))
             nodes[tests[j]] = Split(i * m + j, edges)
         return tests[0]
 
@@ -158,9 +158,9 @@ def one_edge_split_tree() -> DecisionTree:
     leaf."""
     space = FeatureSpace.from_pairs((("x", ("a", "b", "c")), ("y", ("0", "1"))))
     nodes = {
-        "root": Split(0, (Edge(frozenset({0, 1, 2}), "y"),)),
-        "y": Split(1, (Edge(frozenset({0}), "again"), Edge(frozenset({1}), "yes"))),
-        "again": Split(0, (Edge(frozenset({0}), "a"), Edge(frozenset({1, 2}), "bc"))),
+        "root": Split(0, (Edge(0b111, "y"),)),
+        "y": Split(1, (Edge(0b1, "again"), Edge(0b10, "yes"))),
+        "again": Split(0, (Edge(0b1, "a"), Edge(0b110, "bc"))),
         "yes": Leaf(1),
         "a": Leaf(1),
         "bc": Leaf(0),

@@ -30,13 +30,17 @@ from dtexplain import (
     PATH_UNRESTRICTED,
     CycleError,
     DanglingChildError,
+    DecisionTree,
+    Edge,
     EdgeCoverageError,
     EdgeOverlapError,
     FeatureSpace,
     InconsistentLiteralsError,
     InstanceError,
+    Leaf,
     Literal,
     NotATreeError,
+    Split,
     TreeFormatError,
     TreeSchemaError,
     TreeSyntaxError,
@@ -815,7 +819,7 @@ def test_node_layout_matches_a_preorder_walk_of_the_node_dict(source):
                 continue
             f = node.feature
             for e in reversed(node.edges):
-                mask = sum(1 << v for v in e.values) & reach[f]
+                mask = e.mask & reach[f]
                 below = reach[:f] + [mask] + reach[f + 1 :]
                 todo.append((e.child, i, mask, below))
         for node_id in reversed(ids):
@@ -925,6 +929,45 @@ def test_literal_is_its_feature_and_mask():
     assert repr(a) == "Literal(feature=1, mask=5)"
 
 
+def test_an_edge_is_its_mask_and_its_child():
+    """An edge stores an int value mask, as a literal does, and derives
+    its value set."""
+    assert Edge.__slots__ == ("mask", "child")
+    edge = Edge(0b101, "n1")
+    assert edge == Edge(0b101, "n1") and repr(edge) == "Edge(mask=5, child='n1')"
+    assert isinstance(Edge.values, property) and edge.values == frozenset({0, 2})
+    with pytest.raises(TypeError) as raised:
+        Edge(frozenset({0}), "a")
+    assert str(raised.value) == "an edge takes an int value mask, not frozenset({0})"
+
+
+@pytest.mark.parametrize(
+    "masks, error, message",
+    [
+        ((0b111, 0), TreeSchemaError, "edge with no values"),
+        ((0b111, -1), TreeSchemaError, "edge with no values"),
+        (
+            (0b011, 0b11000100),  # values 2, 6 and 7
+            UnknownValueError,
+            "value index 6 outside the domain of 'x'",
+        ),
+        ((0b011, 0b110), EdgeOverlapError, "non-disjoint edges on 'x'"),
+        ((0b010,), EdgeCoverageError, "non-covering edges on 'x' (missing a, c)"),
+    ],
+    ids=["zero", "negative", "past-domain", "overlap", "coverage"],
+)
+def test_edge_masks_are_validated(masks, error, message):
+    """A zero or negative mask has no values, and a mask past the domain
+    names its lowest value index out of range."""
+    space = FeatureSpace.from_pairs([("x", ("a", "b", "c"))])
+    edges = tuple(Edge(mask, f"leaf{i}") for i, mask in enumerate(masks))
+    nodes = {"root": Split(0, edges)} | {e.child: Leaf(0) for e in edges}
+    with pytest.raises(error) as raised:
+        DecisionTree(space, ("0",), "root", nodes)
+    assert type(raised.value) is error
+    assert str(raised.value) == f"node 'root': {message}"
+
+
 def test_equal_points_share_their_literals():
     tree = load_tree("play_tennis")
     first = instance_literals(tree.space, (1, 2, 0))
@@ -972,17 +1015,22 @@ def test_points_become_literals_only_in_the_model_and_the_source():
 
 
 def test_literals_store_only_their_mask():
-    """A literal stores ``(feature, mask)``; only model.py reads the
-    derived value set, and model.py sets no attribute behind a frozen
-    dataclass's back."""
+    """A literal stores ``(feature, mask)`` and an edge ``(mask, child)``;
+    only model.py reads the derived value sets, ``.allowed`` and
+    ``.values`` (a call such as a dict's ``.values()`` is not a read), and
+    model.py sets no attribute behind a frozen dataclass's back."""
     assert Literal.__slots__ == ("feature", "mask")
+    assert Edge.__slots__ == ("mask", "child")
     package = pathlib.Path(dtexplain.__file__).parent
     for module in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(module.read_text(), str(module))):
-            if isinstance(node, ast.Attribute) and node.attr == "allowed":
-                assert module.name == "model.py", (
-                    f"{module.name} reads .allowed"
-                )
+        tree = ast.parse(module.read_text(), str(module))
+        called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and id(node) not in called:
+                if node.attr in ("allowed", "values"):
+                    assert module.name == "model.py", (
+                        f"{module.name} reads .{node.attr}"
+                    )
             if module.name == "model.py" and isinstance(node, ast.Call):
                 assert ast.unparse(node.func) != "object.__setattr__"
 

@@ -21,6 +21,7 @@ from dtexplain import (
     Edge,
     Explanation,
     FeatureSpace,
+    InstanceError,
     Leaf,
     Literal,
     OracleMismatch,
@@ -35,6 +36,7 @@ from dtexplain import (
     random_instance,
     random_tree,
 )
+from dtexplain.selfcheck import check_classification
 
 
 def lits(tree, *pairs):
@@ -97,7 +99,7 @@ def test_bf_is_redundant_examples():
 def one_split_tree(n: int) -> DecisionTree:
     """x1 decides the class; x2 ... x<n> are never tested."""
     space = FeatureSpace.from_pairs((f"x{k + 1}", ("0", "1")) for k in range(n))
-    edges = (Edge(frozenset({0}), "a"), Edge(frozenset({1}), "b"))
+    edges = (Edge(0b1, "a"), Edge(0b10, "b"))
     nodes = {"root": Split(0, edges), "a": Leaf(0), "b": Leaf(1)}
     return DecisionTree(space, ("0", "1"), "root", nodes)
 
@@ -224,7 +226,8 @@ def mixed_domain_tree(sizes, seed):
         cuts = sorted(rng.sample(range(1, len(values)), rng.randint(1, len(values) - 1)))
         groups = [values[a:b] for a, b in zip([0] + cuts, cuts + [len(values)])]
         edges = tuple(
-            Edge(frozenset(group), f"{node_id}.{k}") for k, group in enumerate(groups)
+            Edge(sum(1 << v for v in group), f"{node_id}.{k}")
+            for k, group in enumerate(groups)
         )
         nodes[node_id] = Split(feature, edges)
         for edge in edges:
@@ -346,6 +349,18 @@ def test_check_tree_checks_each_classification(monkeypatch):
     monkeypatch.setattr(dtexplain.explain, "classify", other_leaf)
     with pytest.raises(OracleMismatch, match="reaches leaf"):
         check_tree(load_tree("or_tree"), random.Random(0), n_instances=5)
+
+
+@pytest.mark.parametrize("point", [(9, 0, 0), (0, -1, 0), (0, 0)])
+def test_the_oracle_walk_rejects_a_point_outside_the_space(point):
+    """A value past a domain, a negative value and a short point raise
+    InstanceError, as ``classify`` does, instead of finding no edge."""
+    tree = load_tree("play_tennis")
+    oracle = BruteForceOracle(tree)
+    with pytest.raises(InstanceError):
+        classify(tree, point)
+    with pytest.raises(InstanceError):
+        check_classification(oracle, point, 0, tree.paths[0])
 
 
 def test_check_tree_checks_each_instance_at_most_three_times(monkeypatch):

@@ -83,7 +83,7 @@ def parity_tree(k: int) -> DecisionTree:
             if depth == k:
                 nodes[f"n{bits}"] = Leaf(bits.count("1") % 2)
             else:
-                edges = [Edge(frozenset({v}), f"n{bits}{v}") for v in (0, 1)]
+                edges = [Edge(1 << v, f"n{bits}{v}") for v in (0, 1)]
                 nodes[f"n{bits}"] = Split(depth, tuple(edges))
     return DecisionTree(space, ("0", "1"), "n", nodes)
 
