@@ -4,10 +4,10 @@ Subcommands: ``classify``, ``redundancy``, ``explain``, ``enumerate``,
 ``stats`` and ``selftest``.  Results go to stdout, diagnostics to stderr,
 and output is byte-identical across runs for identical inputs.  With
 ``--format json``, ``-i`` and ``--path`` print one entry; ``--instances``
-and ``--all`` print a list, even of one row.  Each per-source command
-resolves, answers and verifies its sources in one loop, :func:`_answers`;
-``--verify`` runs each answer's :mod:`~dtexplain.selfcheck` checker, as
-:func:`check_tree` does, and makes no check of its own.
+and ``--all`` print a list, even of one row.  Each per-source command is
+one call of :func:`_answers`, one loop that reads, resolves, answers and,
+under ``--verify``, checks its sources with the :mod:`~dtexplain.selfcheck`
+checkers alone, naming a mismatch's source, and then writes the output.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error, 3 oracle
 mismatch under ``--verify``, 4 oracle budget exceeded under ``--verify``.
@@ -142,23 +142,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _sources(
-    tree: DecisionTree, args
-) -> tuple[list[tuple[str, object, object]], bool]:
+def _sources(tree: DecisionTree, args) -> list[tuple[str, object, object]]:
     """The (mode, source, point) triples named by --mode and the one source
-    flag the parser's exclusive groups let through, and whether it names a
-    single source: -i and --path do, --instances and --all (or none, for
-    ``redundancy``) name a list.  ``point`` is the instance the source
-    came from, None for a tree path named by its id."""
+    flag the parser's exclusive groups let through; ``point`` is the
+    instance a source came from, None for a tree path named by its id."""
     flags = vars(args)
     path_id, mode = flags.get("path"), flags.get("mode")
     instance, rows = flags.get("instance"), flags.get("instances")
     if path_id is not None:
         if mode == "unrestricted":
             raise UsageError("unrestricted mode needs an instance source, not --path")
-        return [(PATH_RESTRICTED, tree.path(path_id), None)], True
+        return [(PATH_RESTRICTED, tree.path(path_id), None)]
     if "all" in flags:  # redundancy: every path unless --path
-        return [(PATH_RESTRICTED, path, None) for path in tree.paths], False
+        return [(PATH_RESTRICTED, path, None) for path in tree.paths]
     if instance is not None:
         points = [parse_instance_json(tree.space, instance)]
     elif rows is not None:
@@ -169,40 +165,35 @@ def _sources(
         raise UsageError("a source is required (--path, --instance or --instances)")
     else:
         raise UsageError("an instance source is required (--instance or --instances)")
-    single = instance is not None
     if mode == "restricted":
-        return [(PATH_RESTRICTED, classify(tree, p)[1], p) for p in points], single
-    return [(PATH_UNRESTRICTED, p, p) for p in points], single
+        return [(PATH_RESTRICTED, classify(tree, p)[1], p) for p in points]
+    return [(PATH_UNRESTRICTED, p, p) for p in points]
 
 
-def _print(args, single: bool, results: list, entry, lines) -> int:
-    """Write one JSON ``entry`` per result, unwrapped for a single source,
-    or every result's text ``lines``."""
-    if args.format == "json":
-        entries = [entry(r) for r in results]
-        payload = entries[0] if single else entries
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(line for r in results for line in lines(r)) + "\n")
-    return EXIT_OK
-
-
-def _answers(tree: DecisionTree, args, answer, check) -> tuple[list, bool]:
-    """Resolve each source the flags name and ``answer`` it; under
-    --verify, check an instance source's classification and ``check`` the
-    answer.  Also returns whether the flags name a single source."""
-    sources, single = _sources(tree, args)
+def _answers(tree: DecisionTree, args, answer, check, entry, lines) -> int:
+    """Resolve each source the flags name and ``answer`` it; under --verify,
+    check an instance's classification and ``check`` the answer, naming the
+    source: a path by its id, an instance by its 1-based position.  Write each
+    answer's text ``lines``, or its JSON ``entry``, unwrapped for -i or --path."""
+    sources = _sources(tree, args)  # first: a usage or data error beats the budget
     oracle = BruteForceOracle(tree) if args.verify else None
     results = []
-    for mode, source, point in sources:
+    for k, (mode, source, point) in enumerate(sources, 1):
         src = _source(tree, source, mode)
         result = answer(src)
         if oracle is not None:
+            where = src.path.path_id if point is None else f"instance #{k}"
             if point is not None:
-                check_classification(oracle, point, src.target, src.path)
-            check(oracle, src, result)
+                check_classification(oracle, point, src.target, src.path, where)
+            check(oracle, src, result, where)
         results.append(result)
-    return results, single
+    if args.format == "text":
+        sys.stdout.write("\n".join(line for r in results for line in lines(r)) + "\n")
+    elif {vars(args).get("instance"), vars(args).get("path")} == {None}:
+        sys.stdout.write(json.dumps([entry(r) for r in results], indent=2) + "\n")
+    else:  # -i or --path: one source, one entry
+        sys.stdout.write(json.dumps(entry(results[0]), indent=2) + "\n")
+    return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
@@ -216,9 +207,9 @@ def _cmd_classify(args) -> int:
             "literals": literals.as_value_map(tree),
         }
 
-    rows, single = _answers(tree, args, row, lambda *answered: None)
-    return _print(
-        args, single, rows, dict, lambda r: [f"class: {r['class']}  (path {r['path']})"]
+    return _answers(
+        tree, args, row, lambda *answered: None,
+        dict, lambda r: [f"class: {r['class']}  (path {r['path']})"],
     )
 
 
@@ -242,23 +233,22 @@ def _cmd_redundancy(args) -> int:
             return [f"{r['path']}: redundant (witness: {r['witness']})"]
         return [f"{r['path']}: irredundant"]
 
-    answers, single = _answers(
+    return _answers(
         tree, args,
         lambda src: (src.path, _scan(tree, src, stop=True).verdict),
-        lambda oracle, src, answer: check_redundancy(oracle, *answer, src.path.path_id),
+        lambda oracle, src, answer, where: check_redundancy(oracle, *answer, where),
+        row, text,
     )
-    return _print(args, single, answers, row, text)
 
 
 def _cmd_explain(args) -> int:
     tree = parse_tree_file(args.tree)
-    results, single = _answers(
+    return _answers(
         tree, args,
         lambda src: _extract(tree, src, _scan(tree, src))[0],
-        lambda oracle, src, e: check_extraction(oracle, src.literals, src.target, e),
-    )
-    return _print(
-        args, single, results,
+        lambda oracle, src, e, where: check_extraction(
+            oracle, src.literals, src.target, e, where
+        ),
         lambda e: e.as_value_map(tree), lambda e: [e.render(tree)],
     )
 
@@ -267,15 +257,12 @@ def _cmd_enumerate(args) -> int:
     tree = parse_tree_file(args.tree)
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be non-negative")
-    blocks, single = _answers(
+    return _answers(
         tree, args,
         lambda src: _enumerate(tree, src, _scan(tree, src), args.limit)[0],
-        lambda oracle, src, block: check_enumeration(
-            oracle, src.literals, src.target, block, args.limit
+        lambda oracle, src, block, where: check_enumeration(
+            oracle, src.literals, src.target, block, args.limit, where
         ),
-    )
-    return _print(
-        args, single, blocks,
         lambda block: [e.as_value_map(tree) for e in block],
         lambda block: [e.render(tree) for e in block],
     )

@@ -167,9 +167,6 @@ class _Source(NamedTuple):
     path: TreePath  # the path itself, or the one the instance takes
     mode: str
 
-    def explanation(self, literals: Iterable[Literal]) -> Explanation:
-        return Explanation(frozenset(literals), self.target)
-
 
 def _source(tree: DecisionTree, source: TreePath | Instance, mode: str) -> _Source:
     """Resolve a path (path-restricted) or an instance (path-unrestricted),
@@ -335,14 +332,14 @@ def _extract(tree: DecisionTree, src: _Source, scan: _Scan) -> tuple[Explanation
                 start = node
         found, entered = _contrary_leaf(tree, start, src.target, allowed)
         if not found:
-            kept = (lit for lit in src.literals if core >> lit.feature & 1)
-            return src.explanation(kept), entered
+            kept = frozenset(lit for lit in src.literals if core >> lit.feature & 1)
+            return Explanation(kept, src.target), entered
     if src.mode == PATH_RESTRICTED:
         order = scan.top
     else:
         order = range(len(src.literals) - 1, -1, -1)
     kept, examined = _greedy(tree, src, order, scan)
-    return src.explanation(kept), entered + examined
+    return Explanation(kept, src.target), entered + examined
 
 
 def one_pi_explanation_path(tree: DecisionTree, path: TreePath) -> Explanation:

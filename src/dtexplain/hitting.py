@@ -248,7 +248,8 @@ def _enumerate(
         tree, universe, src.target, sum(1 << i for i in core)
     )
     found = _hitting_sets(family, limit)
-    return [src.explanation(universe[i] for i in core + s) for s in found], entered
+    sets = [frozenset(universe[i] for i in core + s) for s in found]
+    return [Explanation(literals, src.target) for literals in sets], entered
 
 
 def enumerate_pi_explanations(

@@ -117,8 +117,12 @@ class BruteForceOracle:
         """Exhaustive entailment: every point consistent with the literals
         classifies to ``class_id``.  Raises ValueError for a literal outside
         the tree's feature space and for two literals on one feature."""
+        return self._entails(_check_literal_set(self.tree._full, literals), class_id)
+
+    def _entails(self, literals: Iterable[Literal], class_id: int) -> bool:
+        """:meth:`entails` of literals known to be in the space, one per feature."""
         consistent = self._all_points
-        for lit in _check_literal_set(self.tree._full, literals):
+        for lit in literals:
             consistent &= self._selection(lit.feature, lit.mask)
         return not consistent & self._contrary(class_id)
 
@@ -156,13 +160,12 @@ class BruteForceOracle:
 
     def is_redundant(self, path: TreePath) -> bool:
         """True iff dropping some single literal of the path still entails;
-        by monotonicity this equals containing a strictly smaller
-        entailing subset."""
+        by monotonicity this equals containing a strictly smaller entailing
+        subset.  The tree checked its paths' literals when it built them."""
         self.tree.check_owns(path)
         literals = path.literals
-        for skip in range(len(literals)):
-            rest = [lit for i, lit in enumerate(literals) if i != skip]
-            if self.entails(rest, path.prediction):
-                return True
-        return False
+        return any(
+            self._entails(literals[:i] + literals[i + 1 :], path.prediction)
+            for i in range(len(literals))
+        )
 

@@ -448,6 +448,24 @@ def test_selftest_rejects_bad_counts(capsys, count):
     assert err.startswith(f"dtexplain: usage error: {count[0]} must be")
 
 
+def test_an_instances_file_with_no_rows_is_a_data_error(capsys, tmp_path):
+    rows = tmp_path / "header.csv"
+    rows.write_text("x1,x2\n", encoding="utf-8")
+    code, out, err = invoke(
+        capsys, "explain", "-t", fixture_path("or_tree"), "--instances", str(rows)
+    )
+    assert (code, out, err) == (2, "", f"dtexplain: error: {rows}: no instance rows\n")
+
+
+def test_a_negative_limit_is_a_usage_error(capsys):
+    code, out, err = invoke(
+        capsys, "enumerate", "-t", fixture_path("or_tree"), "--path", "P1",
+        "--limit", "-1",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("dtexplain: usage error: --limit must be non-negative\n")
+
+
 def test_conflicting_instance_sources(capsys, tmp_path):
     rows = tmp_path / "rows.csv"
     rows.write_text("x1,x2\n0,0\n", encoding="utf-8")
@@ -650,7 +668,8 @@ def test_verify_detects_every_lying_command(capsys, monkeypatch, target, liar, a
     assert "oracle mismatch" in err
     if liar is _other_target:  # every literal set is right, the class is not
         assert err == (
-            "dtexplain: oracle mismatch: enumeration answered class index 0, not 1\n"
+            "dtexplain: oracle mismatch: instance #1: "
+            "enumeration answered class index 0, not 1\n"
         )
 
 
@@ -765,7 +784,9 @@ def test_verify_detects_a_short_truncated_enumeration(capsys, monkeypatch):
         "-i", '["1", "1", "1", "1"]', "--limit", "1", "--verify",
     )
     assert code == 3 and out == ""
-    assert err == "dtexplain: oracle mismatch: enumeration found 0 sets, oracle 1\n"
+    assert err == (
+        "dtexplain: oracle mismatch: instance #1: enumeration found 0 sets, oracle 1\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["explain", "enumerate"])
@@ -817,13 +838,42 @@ def test_verify_detects_a_lying_extractor(capsys, monkeypatch, keep):
     if keep == "all":  # {Humidity=high, Outlook=overcast}: Humidity is droppable
         index = tree.space.feature_by_name("Humidity").index
         assert err == (
-            "dtexplain: oracle mismatch: explanation is not subset-minimal "
+            "dtexplain: oracle mismatch: P1: explanation is not subset-minimal "
             f"(droppable literal on feature index {index})\n"
         )
     else:
         assert err == (
-            "dtexplain: oracle mismatch: explanation does not entail the prediction\n"
+            "dtexplain: oracle mismatch: P1: "
+            "explanation does not entail the prediction\n"
         )
+
+
+@pytest.mark.parametrize("mode", ["restricted", "unrestricted"])
+def test_verify_names_the_instance_row_that_fails(capsys, monkeypatch, tmp_path, mode):
+    """Under --instances, a mismatch names its row by 1-based position."""
+    from dtexplain.explain import _extract
+
+    answered = []
+
+    def lie_on_the_second_row(tree, src, scan):
+        answered.append(src)
+        explanation, entered = _extract(tree, src, scan)
+        if len(answered) == 2:
+            return Explanation(frozenset(), src.target), entered
+        return explanation, entered
+
+    monkeypatch.setattr("dtexplain.cli._extract", lie_on_the_second_row)
+    rows = tmp_path / "rows.csv"
+    rows.write_text("x1,x2\n0,1\n1,0\n1,1\n", encoding="utf-8")
+    code, out, err = invoke(
+        capsys, "explain", "-t", fixture_path("or_tree"), "--instances", str(rows),
+        "--mode", mode, "--verify",
+    )
+    assert (code, out, len(answered)) == (3, "", 2)
+    assert err == (
+        "dtexplain: oracle mismatch: instance #2: "
+        "explanation does not entail the prediction\n"
+    )
 
 
 def test_verify_budget_exceeded(capsys, tmp_path):
@@ -855,6 +905,38 @@ def test_verify_budget_exceeded(capsys, tmp_path):
     )
     assert code == 4
     assert "budget" in err
+
+
+def test_verify_reads_the_sources_before_it_builds_the_oracle(capsys, tmp_path):
+    """Over 21 binary features the space is past the oracle's budget, yet
+    a missing or malformed source is still a usage or data error: the
+    sources are read first, so their exit code wins over the budget's."""
+    doc = {
+        "features": [{"name": f"x{i}", "domain": ["0", "1"]} for i in range(21)],
+        "classes": ["0", "1"],
+        "root": "n0",
+        "nodes": {
+            "n0": {"feature": "x0", "edges": [
+                {"values": ["0"], "child": "a"}, {"values": ["1"], "child": "b"},
+            ]},
+            "a": {"leaf": "0"},
+            "b": {"leaf": "1"},
+        },
+    }
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc), encoding="utf-8")
+    assert 2**21 > dtexplain.oracle.MAX_POINTS
+    code, out, err = invoke(capsys, "explain", "-t", str(big), "--verify")
+    assert (code, out) == (1, "")
+    assert err.startswith("dtexplain: usage error: a source is required")
+    for instance, message in (
+        ('["0"]', "expected 21 values, got 1"),
+        ('["a"]', "feature 'x0' has no value 'a'"),
+    ):
+        code, out, err = invoke(
+            capsys, "explain", "-t", str(big), "-i", instance, "--verify"
+        )
+        assert (code, out, err) == (2, "", f"dtexplain: error: {message}\n")
 
 
 # -- selftest and determinism --------------------------------------------------------

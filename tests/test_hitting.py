@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import itertools
+import json
 import pathlib
 import random
 
@@ -124,6 +125,29 @@ def test_empty_member_set_rejected():
     lit = Literal(0, 0b1)
     with pytest.raises(HittingSetError):
         HittingSetInstance(universe=(lit,), sets=(("Q1", frozenset()),))
+
+
+def test_an_empty_member_set_is_named_by_its_path():
+    with pytest.raises(HittingSetError) as info:
+        HittingSetInstance(universe=(), sets=(("p", frozenset()),))
+    assert str(info.value) == "empty literal set for path 'p'"
+
+
+def test_a_one_leaf_tree_of_another_class_has_no_conflict_set():
+    """A lone leaf that predicts another class is a contrary path that no
+    candidate literal can exclude."""
+    tree = parse_tree(json.dumps({
+        "features": [{"name": "x1", "domain": ["0", "1"]}],
+        "classes": ["0", "1"],
+        "root": "t",
+        "nodes": {"t": {"leaf": "1"}},
+    }))
+    with pytest.raises(HittingSetError) as info:
+        _contrary_family(tree, (), 0)
+    assert str(info.value) == (
+        "tree/source inconsistency: contrary path 'P1' "
+        "conflicts with no candidate literal"
+    )
 
 
 # -- enumeration --------------------------------------------------------------

@@ -334,6 +334,77 @@ def test_empty_aggregate_rejected():
         parse(bad)
 
 
+def _repeat_feature_name(bad):
+    bad["features"][1]["name"] = "x1"
+
+
+def _repeat_domain_value(bad):
+    bad["features"][1]["domain"] = ["a", "a"]
+
+
+def _repeat_class_name(bad):
+    bad["classes"] = ["0", "0"]
+    bad["nodes"]["t1"]["leaf"] = "0"
+
+
+def _list_the_nodes(bad):
+    bad["nodes"] = []
+
+
+def _repeat_edge_value(bad):
+    bad["nodes"]["n0"]["edges"][0]["values"] = ["0", "0"]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (_repeat_feature_name, "duplicate feature name"),
+        (_repeat_domain_value, "duplicate value in domain of 'x2'"),
+        (_repeat_class_name, "duplicate class name"),
+        (_list_the_nodes, "'nodes' must be an object"),
+        (_repeat_edge_value, "node 'n0' edge #0: duplicate value"),
+    ],
+)
+def test_repeated_names_and_a_node_list_are_schema_errors(
+    capsys, tmp_path, mutate, message
+):
+    """Each is a schema error from the parser, and a data error (exit 2)
+    from the command line."""
+    bad = doc()
+    mutate(bad)
+    with pytest.raises(TreeSchemaError) as info:
+        parse(bad)
+    assert str(info.value) == message
+    tree_file = tmp_path / "bad.json"
+    tree_file.write_text(json.dumps(bad), encoding="utf-8")
+    assert run(["stats", "-t", str(tree_file)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_objects_built_directly_are_checked():
+    """The checks that the parser never reaches, since it builds every
+    feature, leaf and split from names: a feature index out of order, no
+    class, a class id or a feature index out of range, and an unknown
+    class name asked of a tree."""
+    with pytest.raises(TreeSchemaError) as info:
+        FeatureSpace([dtexplain.Feature(1, "x", ("a", "b"))])
+    assert str(info.value) == "feature indices must match their order"
+    space = FeatureSpace.from_pairs([("x1", ("0", "1"))])
+    with pytest.raises(TreeSchemaError) as info:
+        DecisionTree(space, [], "t", {"t": Leaf(0)})
+    assert str(info.value) == "a tree needs at least one class"
+    with pytest.raises(UnknownClassError) as info:
+        DecisionTree(space, ["0"], "t", {"t": Leaf(3)})
+    assert str(info.value) == "node 't': class id 3 out of range"
+    nodes = {"n": Split(2, (Edge(0b1, "a"), Edge(0b10, "b"))), "a": Leaf(0), "b": Leaf(1)}
+    with pytest.raises(UnknownFeatureError) as info:
+        DecisionTree(space, ["0", "1"], "n", nodes)
+    assert str(info.value) == "node 'n': feature index 2 out of range"
+    with pytest.raises(UnknownClassError) as info:
+        load_tree("or_tree").class_id("zzz")
+    assert str(info.value) == "unknown class 'zzz'"
+
+
 # -- schema fuzzing -------------------------------------------------------------
 
 _JUNK = (None, 7, 1.5, True, "0", "x1", [], {}, ["0"], {"leaf": "0"})

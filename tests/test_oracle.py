@@ -96,6 +96,31 @@ def test_bf_is_redundant_examples():
     assert BruteForceOracle(pairs).is_redundant(pairs.path("P2"))
 
 
+def test_is_redundant_checks_only_that_the_tree_owns_the_path(monkeypatch):
+    """The tree validated its paths' literals when it was built, so
+    is_redundant re-checks none of them: no _check_literal_set call, and
+    each verdict is the public entails' answer with one literal dropped.
+    A path of another tree is still refused."""
+    checked = []
+    real = dtexplain.oracle._check_literal_set
+    monkeypatch.setattr(
+        dtexplain.oracle, "_check_literal_set",
+        lambda *args: checked.append(args) or real(*args),
+    )
+    trees = [load_tree(name) for name in FIXTURE_NAMES]
+    trees += [random_tree(seed) for seed in range(30)]
+    for tree in trees:
+        oracle = BruteForceOracle(tree)
+        verdicts = [oracle.is_redundant(path) for path in tree.paths]
+        assert checked == []
+        for path, verdict in zip(tree.paths, verdicts):
+            rests = (path.literal_set() - {lit} for lit in path.literals)
+            assert verdict == any(oracle.entails(r, path.prediction) for r in rests)
+        checked.clear()
+    with pytest.raises(dtexplain.model.PathMismatchError):
+        BruteForceOracle(trees[0]).is_redundant(trees[1].paths[0])
+
+
 def one_split_tree(n: int) -> DecisionTree:
     """x1 decides the class; x2 ... x<n> are never tested."""
     space = FeatureSpace.from_pairs((f"x{k + 1}", ("0", "1")) for k in range(n))
@@ -440,10 +465,12 @@ def test_check_tree_names_an_extraction_fault(monkeypatch, keep):
 
 
 def test_check_tree_asks_entailment_only_to_compare_answers(monkeypatch):
-    """Work witness: the oracle decides entailment for the redundancy
-    verdicts (at most a path's depth each) and for the per-instance
-    comparison (features + 1 each); an extraction found among the
-    oracle's PI-explanations costs no entailment query."""
+    """Work witness: public entailment queries come only from the
+    per-instance comparison (features + 1 each); the redundancy verdicts
+    (at most a path's depth each, still counted in the bound) drop
+    literals of a path the tree has checked and skip the public check,
+    and an extraction found among the oracle's PI-explanations costs no
+    entailment query."""
     calls = []
     real = BruteForceOracle.entails
 
